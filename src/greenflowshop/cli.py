@@ -2,7 +2,7 @@
 
 Subcommands: `generate` (random instance synthesis), `solve` (one
 configured run, front to CSV/JSON), `tune` (orthogonal-array campaign,
-response tables to CSV), `bench` (repeated runs over benchmark files,
+response tables to CSV), `bench` (repeated runs over benchmark instances,
 records to CSV) and `report` (re-aggregate a stored record file).
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 contract violation.
@@ -16,38 +16,45 @@ from pathlib import Path
 
 from . import harness, tuning
 from .instance import (
+    TAILLARD_TIME_SEEDS,
     Instance,
-    InstanceFormatError,
     count_taillard_blocks,
     default_powers,
     format_instance,
     generate_instance,
+    is_taillard,
     load_table3,
     parse_instance,
     parse_taillard,
     save_instance,
+    taillard_instance,
 )
 from .nsga2 import RunConfig, evolve
 from .objectives import DEFAULT_KAPPA
 
 __all__ = ["cli", "main"]
 
+# Flags shared between subcommands; each subcommand takes only those it reads.
+_FLAGS = {
+    "--pop": dict(type=int, default=RunConfig.pop_size, help="population size"),
+    "--gen": dict(type=int, default=RunConfig.generations, help="generation count"),
+    "--pc": dict(type=float, default=RunConfig.p_crossover, help="crossover probability"),
+    "--pm": dict(type=float, default=RunConfig.p_mutation, help="mutation probability"),
+    "--seed": dict(type=int, default=0, help="root random seed"),
+    "--ls": dict(choices=("on", "off"), default="on", help="descent pass on rank-1 solutions"),
+    "--runs": dict(type=int, default=10, help="repeated runs per benchmark instance"),
+    "--kappa": dict(type=float, default=DEFAULT_KAPPA, help="standby minutes to energy factor"),
+    "--powers": dict(default="table9", help="Taillard file powers: 'table9' or a number file"),
+    "--out": dict(default=None, help="output path"),
+    "--json": dict(default=None, help="also mirror the output to this JSON path"),
+}
+_GA_FLAGS = ("--pop", "--gen", "--pc", "--pm")
+_INSTANCE_HELP = "'table3', 'ta20x5' or an instance file (native or Taillard)"
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pop", type=int, default=200, help="population size")
-    parser.add_argument("--gen", type=int, default=50, help="generation count")
-    parser.add_argument("--pc", type=float, default=0.6, help="crossover probability")
-    parser.add_argument("--pm", type=float, default=0.05, help="mutation probability")
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--ls", choices=("on", "off"), default="on",
-                        help="descent pass on rank-1 solutions")
-    parser.add_argument("--runs", type=int, default=10,
-                        help="repeated runs per benchmark instance")
-    parser.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
-                        help="standby minutes to energy conversion factor")
-    parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--powers", type=str, default="table9",
-                        help="machine powers: 'table9' or a file of numbers")
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,31 +67,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="synthesize a random instance")
     p_gen.add_argument("--jobs", type=int, required=True)
     p_gen.add_argument("--machines", type=int, required=True)
-    _common_flags(p_gen)
+    _add_flags(p_gen, "--seed", "--out")
 
     p_solve = sub.add_parser("solve", help="one run, emit the front")
-    p_solve.add_argument("--instance", type=str, required=True,
-                         help="'table3' or an instance file path")
+    p_solve.add_argument("--instance", type=str, required=True, help=_INSTANCE_HELP)
     p_solve.add_argument("--index", type=int, default=1,
-                         help="block index inside a multi-instance file")
-    p_solve.add_argument("--json", type=str, default=None,
-                         help="also mirror the front to this JSON path")
-    _common_flags(p_solve)
+                         help="which instance of a multi-instance set (1-based)")
+    _add_flags(p_solve, *_GA_FLAGS, "--seed", "--ls", "--kappa", "--powers",
+               "--out", "--json")
 
     p_tune = sub.add_parser("tune", help="orthogonal-array parameter campaign")
-    p_tune.add_argument("--instance", type=str, default="table3")
+    p_tune.add_argument("--instance", type=str, default="table3", help=_INSTANCE_HELP)
     p_tune.add_argument("--index", type=int, default=1)
-    _common_flags(p_tune)
+    _add_flags(p_tune, "--seed", "--ls", "--kappa", "--powers", "--out")
 
-    p_bench = sub.add_parser("bench", help="repeated runs over benchmark files")
-    p_bench.add_argument("instances", nargs="*",
-                         help="instance files (native or Taillard, all blocks)")
-    p_bench.add_argument("--json", type=str, default=None)
-    _common_flags(p_bench)
+    p_bench = sub.add_parser("bench", help="repeated runs over benchmark instances")
+    p_bench.add_argument("instances", nargs="+",
+                         help=f"each {_INSTANCE_HELP}; every instance of a set runs")
+    _add_flags(p_bench, *_GA_FLAGS, "--seed", "--ls", "--runs", "--kappa",
+               "--powers", "--out", "--json")
 
     p_report = sub.add_parser("report", help="re-aggregate a stored record CSV")
     p_report.add_argument("--records", type=str, required=True, dest="records")
-    _common_flags(p_report)
+    _add_flags(p_report, "--out")
 
     return parser
 
@@ -111,21 +116,34 @@ def _resolve_powers(spec: str, n_machines: int):
     return tuple(values[:n_machines])
 
 
-def _load_any_instance(path: str, index: int, powers_spec: str) -> Instance:
-    """Native format first; anything else is treated as a Taillard file whose
-    chosen block gets powers from `powers_spec`."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_instance(text)
-    except InstanceFormatError:
-        block = parse_taillard(text, index)
-        return block.to_instance(_resolve_powers(powers_spec, block.n_machines))
+def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
+    """Every instance `spec` names, labelled for benchmark records: built-in
+    `table3` or the `ta20x5` set, a native file, or each block of a Taillard
+    file with powers from `powers_spec`."""
+    if spec == "table3":
+        return [harness.BenchTask("table3", 1, load_table3())]
+    if spec == "ta20x5":
+        return [
+            harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k))
+            for k in range(1, len(TAILLARD_TIME_SEEDS[20, 5]) + 1)
+        ]
+    text = Path(spec).read_text(encoding="utf-8")
+    label = Path(spec).stem
+    if not is_taillard(text):
+        return [harness.BenchTask(label, 1, parse_instance(text))]
+    tasks = []
+    for k in range(1, count_taillard_blocks(text) + 1):
+        block = parse_taillard(text, k)
+        powers = _resolve_powers(powers_spec, block.n_machines)
+        tasks.append(harness.BenchTask(label, k, block.to_instance(powers)))
+    return tasks
 
 
-def _resolve_instance(args) -> Instance:
-    if args.instance == "table3":
-        return load_table3()
-    return _load_any_instance(args.instance, args.index, args.powers)
+def _load_instance(args) -> Instance:
+    tasks = _load_tasks(args.instance, args.powers)
+    if not 1 <= args.index <= len(tasks):
+        raise IndexError(f"instance index {args.index} outside 1..{len(tasks)}")
+    return tasks[args.index - 1].instance
 
 
 def _cmd_generate(args) -> int:
@@ -139,7 +157,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _resolve_instance(args)
+    instance = _load_instance(args)
     front = evolve(instance, _config(args), kappa=args.kappa)
     if args.out:
         harness.write_front_csv(args.out, front)
@@ -147,17 +165,17 @@ def _cmd_solve(args) -> int:
     else:
         print("sequence,flowtime,energy_whr")
         for ind in front:
-            seq = "-".join(str(j + 1) for j in ind.perm)
-            print(f"{seq},{ind.obj.flowtime},{ind.obj.energy!r}")
+            print(f"{harness.sequence_str(ind.perm)},{ind.obj.flowtime},{ind.obj.energy!r}")
     if args.json:
         harness.write_front_json(args.json, front)
     return 0
 
 
 def _cmd_tune(args) -> int:
-    instance = _resolve_instance(args)
+    instance = _load_instance(args)
     design = tuning.build_l16()
-    base = _config(args)
+    # the design rows set population, generations and both probabilities
+    base = RunConfig(ls_enabled=args.ls == "on")
     prefix = args.out or "tuning"
     tables = {}
     for response in ("flowtime", "energy"):
@@ -172,44 +190,21 @@ def _cmd_tune(args) -> int:
             for row, value in zip(design.rows, responses):
                 fh.write(f"{row.gen},{row.pop},{row.crossover},{row.mutation},{value!r}\n")
         table_path = f"{prefix}_{response}_table.csv"
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write(tuning.response_table_csv(table))
+        Path(table_path).write_text(tuning.response_table_csv(table), encoding="utf-8")
         print(f"wrote {rows_path} and {table_path}")
     picked = tuning.pick_best_params(tables["flowtime"], tables["energy"])
     print("selected parameters:", picked)
     return 0
 
 
-def _bench_tasks(paths, powers_spec: str) -> list[harness.BenchTask]:
-    tasks = []
-    for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        label = Path(path).stem
-        try:
-            instance = parse_instance(text)
-            tasks.append(harness.BenchTask(label, 1, instance))
-            continue
-        except InstanceFormatError:
-            pass
-        for k in range(1, count_taillard_blocks(text) + 1):
-            block = parse_taillard(text, k)
-            powers = _resolve_powers(powers_spec, block.n_machines)
-            tasks.append(harness.BenchTask(label, k, block.to_instance(powers)))
-    return tasks
-
-
 def _cmd_bench(args) -> int:
-    if not args.instances:
-        print("bench: at least one instance file is required", file=sys.stderr)
-        return 1
-    tasks = _bench_tasks(args.instances, args.powers)
-    config = _config(args)
+    tasks = [task for spec in args.instances for task in _load_tasks(spec, args.powers)]
 
     def progress(task, done, total):
         print(f"{task.problem} #{task.dataset}: run {done}/{total}", file=sys.stderr)
 
     records = harness.run_benchmark(
-        tasks, config, args.runs, kappa=args.kappa, on_progress=progress
+        tasks, _config(args), args.runs, kappa=args.kappa, on_progress=progress
     )
     out = args.out or "bench.csv"
     harness.write_bench_csv(out, records)

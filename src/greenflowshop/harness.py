@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import asdict, dataclass, fields, replace
 
 from .instance import Instance
 from .nsga2 import RunConfig, evolve
-from .objectives import DEFAULT_KAPPA, Objectives, evaluate
-from .pareto import Individual, fast_nondominated_sort
+from .objectives import DEFAULT_KAPPA, evaluate
+from .pareto import Individual, fast_nondominated_sort, unique_sorted
+from .seeding import STREAM_BENCH, child_seed
 
 __all__ = [
     "BenchRecord",
@@ -32,6 +31,7 @@ __all__ = [
     "read_bench_csv",
     "read_front_csv",
     "run_benchmark",
+    "sequence_str",
     "write_bench_csv",
     "write_bench_json",
     "write_front_csv",
@@ -82,14 +82,7 @@ def merge_fronts(fronts) -> list[Individual]:
     pool = [ind.copy() for front in fronts for ind in front]
     if not pool:
         return []
-    top = fast_nondominated_sort(pool)[0]
-    seen: set[Objectives] = set()
-    merged = []
-    for ind in sorted(top, key=lambda ind: (ind.obj.flowtime, ind.obj.energy)):
-        if ind.obj not in seen:
-            seen.add(ind.obj)
-            merged.append(ind)
-    return merged
+    return unique_sorted(fast_nondominated_sort(pool)[0])
 
 
 def make_record(problem: str, dataset: int, front: list[Individual]) -> BenchRecord:
@@ -129,11 +122,7 @@ def run_benchmark(
     for t, task in enumerate(tasks):
         fronts = []
         for r in range(repeats):
-            run_seed = int(
-                np.random.SeedSequence(
-                    config.seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(4, t, r)
-                ).generate_state(1)[0]
-            )
+            run_seed = child_seed(config.seed, STREAM_BENCH, t, r)
             fronts.append(evolve(task.instance, replace(config, seed=run_seed), kappa))
             if on_progress is not None:
                 on_progress(task, r + 1, repeats)
@@ -175,7 +164,8 @@ def aggregate_records(
 # ---------------------------------------------------------------------------
 
 
-def _sequence_str(perm) -> str:
+def sequence_str(perm) -> str:
+    """Dash-separated 1-based job ids, the sequence column of front files."""
     return "-".join(str(job + 1) for job in perm)
 
 
@@ -183,96 +173,85 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     return tuple(int(tok) - 1 for tok in text.split("-"))
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path) -> list[dict[str, str]]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_front_csv(path, front: list[Individual]) -> None:
     """`sequence,flowtime,energy_whr` rows; energy uses the shortest decimal
     that parses back to the same float, so rows re-evaluate exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "flowtime", "energy_whr"])
-        for ind in front:
-            writer.writerow([_sequence_str(ind.perm), ind.obj.flowtime, repr(ind.obj.energy)])
+    _write_csv(path, ["sequence", "flowtime", "energy_whr"], (
+        [sequence_str(ind.perm), ind.obj.flowtime, repr(ind.obj.energy)] for ind in front
+    ))
 
 
 def read_front_csv(path) -> list[tuple[tuple[int, ...], int, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            (_parse_sequence(row["sequence"]), int(row["flowtime"]), float(row["energy_whr"]))
-            for row in reader
-        ]
+    return [
+        (_parse_sequence(row["sequence"]), int(row["flowtime"]), float(row["energy_whr"]))
+        for row in _read_csv(path)
+    ]
 
 
 def write_front_json(path, front: list[Individual]) -> None:
-    payload = [
+    _write_json(path, [
         {
             "sequence": [job + 1 for job in ind.perm],
             "flowtime": ind.obj.flowtime,
             "energy_whr": ind.obj.energy,
         }
         for ind in front
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-_BENCH_FIELDS = ["problem", "dataset", "ft1", "ec1", "ft2", "ec2", "pct_ft", "pct_ec"]
+    ])
 
 
 def write_bench_csv(path, records: list[BenchRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_BENCH_FIELDS)
-        for rec in records:
-            writer.writerow([
-                rec.problem, rec.dataset, rec.ft1, repr(rec.ec1), rec.ft2,
-                repr(rec.ec2), f"{rec.pct_ft:.2f}", f"{rec.pct_ec:.2f}",
-            ])
+    _write_csv(path, [field.name for field in fields(BenchRecord)], (
+        [rec.problem, rec.dataset, rec.ft1, repr(rec.ec1), rec.ft2, repr(rec.ec2),
+         f"{rec.pct_ft:.2f}", f"{rec.pct_ec:.2f}"]
+        for rec in records
+    ))
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            BenchRecord(
-                problem=row["problem"],
-                dataset=int(row["dataset"]),
-                ft1=int(row["ft1"]),
-                ec1=float(row["ec1"]),
-                ft2=int(row["ft2"]),
-                ec2=float(row["ec2"]),
-                pct_ft=float(row["pct_ft"]),
-                pct_ec=float(row["pct_ec"]),
-            )
-            for row in reader
-        ]
+    return [
+        BenchRecord(
+            problem=row["problem"],
+            dataset=int(row["dataset"]),
+            ft1=int(row["ft1"]),
+            ec1=float(row["ec1"]),
+            ft2=int(row["ft2"]),
+            ec2=float(row["ec2"]),
+            pct_ft=float(row["pct_ft"]),
+            pct_ec=float(row["pct_ec"]),
+        )
+        for row in _read_csv(path)
+    ]
 
 
 def write_bench_json(path, records: list[BenchRecord]) -> None:
-    payload = [
-        {
-            "problem": rec.problem,
-            "dataset": rec.dataset,
-            "ft1": rec.ft1,
-            "ec1": rec.ec1,
-            "ft2": rec.ft2,
-            "ec2": rec.ec2,
-            "pct_ft": round(rec.pct_ft, 2),
-            "pct_ec": round(rec.pct_ec, 2),
-        }
+    _write_json(path, [
+        {**asdict(rec), "pct_ft": round(rec.pct_ft, 2), "pct_ec": round(rec.pct_ec, 2)}
         for rec in records
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    ])
 
 
 def write_aggregates_csv(path, aggregates) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "avg_pct_ft", "avg_pct_ec"])
-        for label, pct_ft, pct_ec in aggregates:
-            writer.writerow([label, f"{pct_ft:.2f}", f"{pct_ec:.2f}"])
+    _write_csv(path, ["problem", "avg_pct_ft", "avg_pct_ec"], (
+        [label, f"{pct_ft:.2f}", f"{pct_ec:.2f}"] for label, pct_ft, pct_ec in aggregates
+    ))
 
 
 def verify_front_csv(path, instance: Instance, kappa: float = DEFAULT_KAPPA) -> bool:

@@ -8,9 +8,10 @@ read-only) and a small native format that also carries the power column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from .seeding import stream
 
 __all__ = [
     "Instance",
@@ -22,6 +23,7 @@ __all__ = [
     "default_powers",
     "generate_instance",
     "generate_taillard_times",
+    "is_taillard",
     "load_instance",
     "load_table3",
     "parse_instance",
@@ -98,8 +100,8 @@ class Instance:
                 raise ValueError("processing times must be non-negative")
         if len(self.fixed_power) != self.n_machines:
             raise ValueError("fixed_power length does not match n_machines")
-        if any(p <= 0 for p in self.fixed_power):
-            raise ValueError("fixed powers must be positive")
+        if not all(0 < p < math.inf for p in self.fixed_power):
+            raise ValueError("fixed powers must be positive and finite")
 
     @classmethod
     def from_matrix(cls, proc_time, fixed_power) -> "Instance":
@@ -151,14 +153,10 @@ def generate_instance(n_jobs: int, n_machines: int, seed: int) -> Instance:
     (PCG64 stream, times drawn before powers)."""
     if n_jobs < 1 or n_machines < 1:
         raise ValueError("need n_jobs >= 1 and n_machines >= 1")
-    rng = np.random.default_rng(_normalize_seed(seed))
+    rng = stream(seed)
     times = rng.integers(1, 100, size=(n_jobs, n_machines))
     powers = rng.integers(700, 1501, size=n_machines)
     return Instance.from_matrix(times.tolist(), powers.tolist())
-
-
-def _normalize_seed(seed: int) -> int:
-    return seed & 0xFFFFFFFFFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +261,8 @@ def _parse_taillard_blocks(text: str) -> list[TaillardBlock]:
             except InstanceFormatError as exc:
                 raise InstanceFormatError(str(exc), i + 1) from None
             if row is not None:
+                if any(v < 0 for v in row):
+                    raise InstanceFormatError("processing times must be non-negative", i + 1)
                 values.extend(row)
             i += 1
         if len(values) < n * m:
@@ -317,6 +317,19 @@ def _data_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def is_taillard(text: str) -> bool:
+    """Whether `text` reads as a Taillard file: its first data line (comments
+    stripped) holds a letter or five integers.  Anything else, a
+    marker-less two-number header included, reads as the native format."""
+    line = next(_data_lines(text), (None, ""))[1]
+    if any(ch.isalpha() for ch in line):
+        return True
+    try:
+        return len([int(tok) for tok in line.split()]) == 5
+    except ValueError:
+        return False
 
 
 def parse_instance(text: str) -> Instance:

@@ -11,21 +11,24 @@ never perturbs the selection stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .instance import Instance
-from .localsearch import vnd_explore
-from .objectives import DEFAULT_KAPPA, Objectives, evaluate
+from .localsearch import _distinct_pair, swap_positions, vnd_explore
+from .objectives import DEFAULT_KAPPA, evaluate
 from .pareto import (
     FrontSet,
     Individual,
     crowded_compare,
     dominates,
     rank_population,
+    unique_sorted,
 )
+from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, stream
 
 __all__ = [
     "RunConfig",
@@ -36,9 +39,6 @@ __all__ = [
     "swap_mutation",
     "tournament_select",
 ]
-
-_STREAM_INIT, _STREAM_VARIATION, _STREAM_LOCAL = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,17 +64,11 @@ class RunConfig:
             raise ValueError("invalid local search budget")
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
-    )
-
-
 def init_population(
     instance: Instance, config: RunConfig, kappa: float = DEFAULT_KAPPA
 ) -> list[Individual]:
     """Uniformly random evaluated permutations, one shuffle per member."""
-    rng = _stream(config.seed, _STREAM_INIT)
+    rng = stream(config.seed, STREAM_INIT)
     pop = []
     for _ in range(config.pop_size):
         perm = tuple(int(x) for x in rng.permutation(instance.n_jobs))
@@ -123,16 +117,9 @@ def _ox_child(keeper, donor, lo: int, hi: int) -> tuple[int, ...]:
 
 def swap_mutation(perm, rng: np.random.Generator) -> tuple[int, ...]:
     """Exchange two distinct random positions; identity below length 2."""
-    n = len(perm)
-    if n < 2:
+    if len(perm) < 2:
         return tuple(perm)
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    out = list(perm)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
+    return swap_positions(perm, *_distinct_pair(rng, len(perm)))
 
 
 def _select_next(fronts: FrontSet, size: int) -> list[Individual]:
@@ -234,31 +221,24 @@ def evolve(
     deduplicated by objective pair and sorted by (flowtime, energy).
 
     `on_generation(gen, merged_pool, population)` is invoked after each
-    generation's survivor selection, for tracing and tests.
+    generation's survivor selection, for tracing and tests.  A `kappa` that
+    is not positive and finite raises ValueError before any work starts.
     """
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     pop = init_population(instance, config, kappa)
     rank_population(pop)
     for gen in range(1, config.generations + 1):
-        var_rng = _stream(config.seed, _STREAM_VARIATION, gen)
+        var_rng = stream(config.seed, STREAM_VARIATION, gen)
         offspring = _make_offspring(instance, pop, config, var_rng, kappa)
         merged = pop + offspring
         fronts = rank_population(merged)
         if config.ls_enabled and config.ls_max_iters > 0:
-            ls_rng = _stream(config.seed, _STREAM_LOCAL, gen)
+            ls_rng = stream(config.seed, STREAM_LOCAL, gen)
             _apply_local_search(merged, fronts, instance, config, ls_rng, kappa)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         rank_population(pop)
         if on_generation is not None:
             on_generation(gen, merged, pop)
-    front = [ind for ind in pop if ind.rank == 1]
-    seen: set[Objectives] = set()
-    unique = []
-    for ind in sorted(front, key=lambda ind: (ind.obj.flowtime, ind.obj.energy)):
-        if ind.obj not in seen:
-            seen.add(ind.obj)
-            snapshot = ind.copy()
-            snapshot.rank = ind.rank
-            snapshot.crowding = ind.crowding
-            unique.append(snapshot)
-    return unique
+    return unique_sorted(ind for ind in pop if ind.rank == 1)

@@ -24,6 +24,7 @@ __all__ = [
     "dominates",
     "fast_nondominated_sort",
     "rank_population",
+    "unique_sorted",
 ]
 
 
@@ -132,11 +133,18 @@ def crowded_compare(a: Individual, b: Individual) -> int:
     return 0
 
 
-def rank_population(
-    pop: list[Individual], normalize: bool = False
-) -> FrontSet:
+def rank_population(pop: list[Individual]) -> FrontSet:
     """Sort into fronts and assign crowding throughout; returns the fronts."""
     fronts = fast_nondominated_sort(pop)
     for front in fronts:
-        crowding_distance(front, normalize=normalize)
+        crowding_distance(front)
     return fronts
+
+
+def unique_sorted(members) -> list[Individual]:
+    """Copies of `members` ordered by (flowtime, energy), one per objective
+    pair (the first in input order wins), with rank and crowding kept."""
+    first: dict[Objectives, Individual] = {}
+    for ind in sorted(members, key=lambda ind: (ind.obj.flowtime, ind.obj.energy)):
+        first.setdefault(ind.obj, ind)
+    return [Individual(ind.perm, ind.obj, ind.rank, ind.crowding) for ind in first.values()]

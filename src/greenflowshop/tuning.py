@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .instance import Instance
 from .nsga2 import RunConfig, evolve
 from .objectives import DEFAULT_KAPPA
+from .seeding import STREAM_TUNING, child_seed
 
 __all__ = [
     "FACTORS",
@@ -117,18 +116,13 @@ def run_design(
     base = base_config if base_config is not None else RunConfig()
     out = []
     for k, row in enumerate(design.rows):
-        row_seed = int(
-            np.random.SeedSequence(
-                seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(3, k)
-            ).generate_state(1)[0]
-        )
         config = replace(
             base,
             pop_size=row.pop,
             generations=row.gen,
             p_crossover=row.crossover,
             p_mutation=row.mutation,
-            seed=row_seed,
+            seed=child_seed(seed, STREAM_TUNING, k),
         )
         front = evolve(instance, config, kappa)
         if response == "flowtime":

@@ -1,8 +1,28 @@
 import json
+import shlex
+from pathlib import Path
 
-from greenflowshop.cli import _build_parser, _config, cli
-from greenflowshop.harness import read_bench_csv, verify_front_csv
-from greenflowshop.instance import format_instance, generate_instance, load_instance, load_table3
+import pytest
+
+from greenflowshop.cli import _HANDLERS, _build_parser, _config, cli
+from greenflowshop.harness import (
+    BenchTask,
+    read_bench_csv,
+    run_benchmark,
+    verify_front_csv,
+    write_bench_csv,
+    write_front_csv,
+)
+from greenflowshop.instance import (
+    format_instance,
+    generate_instance,
+    load_instance,
+    load_table3,
+    taillard_instance,
+)
+from greenflowshop.nsga2 import RunConfig, evolve
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -16,12 +36,61 @@ class TestDefaults:
         assert (cfg.pop_size, cfg.generations) == (200, 50)
         assert (cfg.p_crossover, cfg.p_mutation) == (0.6, 0.05)
         assert cfg.ls_enabled
-        assert args.runs == 10
         assert args.powers == "table9"
+        assert _build_parser().parse_args(["bench", "table3"]).runs == 10
 
     def test_ls_off(self):
         args = _build_parser().parse_args(["solve", "--instance", "table3", "--ls", "off"])
         assert not _config(args).ls_enabled
+
+
+# Flags a subcommand does not read are not accepted by it.
+_UNREAD_FLAGS = {
+    "generate": ("--pop", "--gen", "--pc", "--pm", "--ls", "--runs", "--kappa", "--powers"),
+    "solve": ("--runs",),
+    "tune": ("--pop", "--gen", "--pc", "--pm", "--runs"),
+    "report": ("--pop", "--gen", "--pc", "--pm", "--seed", "--ls", "--runs", "--kappa",
+               "--powers"),
+}
+_MINIMAL_ARGV = {
+    "generate": ["generate", "--jobs", "2", "--machines", "2"],
+    "solve": ["solve", "--instance", "table3"],
+    "tune": ["tune"],
+    "report": ["report", "--records", "records.csv"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags
+    ])
+    def test_unread_flag_is_usage_error(self, monkeypatch, command, flag):
+        monkeypatch.setitem(_HANDLERS, command, lambda args: 0)
+        assert run(_MINIMAL_ARGV[command]) == 0
+        value = {"--ls": "on", "--powers": "table9"}.get(flag, "1")
+        assert run(_MINIMAL_ARGV[command] + [flag, value]) == 1
+
+
+def _readme_commands() -> list[str]:
+    commands, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("greenflowshop "):
+            commands.append(line)
+    return commands
+
+
+class TestReadme:
+    def test_every_subcommand_documented(self):
+        assert {shlex.split(line)[1] for line in _readme_commands()} == set(_HANDLERS)
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_command_parses(self, line):
+        try:
+            _build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 class TestGenerate:
@@ -94,6 +163,20 @@ class TestSolve:
         assert run(["solve", "--instance", str(path), "--powers", str(powers),
                     "--pop", "4", "--gen", "2", "--seed", "1"]) == 3
 
+    def test_index_picks_from_builtin_set(self, tmp_path):
+        out = tmp_path / "front.csv"
+        code = run(["solve", "--instance", "ta20x5", "--index", "3", "--pop", "4",
+                    "--gen", "1", "--ls", "off", "--out", str(out)])
+        assert code == 0
+        front = evolve(taillard_instance(20, 5, 3), RunConfig(4, 1, ls_enabled=False))
+        expected = tmp_path / "expected.csv"
+        write_front_csv(expected, front)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("instance,index", [("table3", 2), ("ta20x5", 11), ("ta20x5", 0)])
+    def test_index_outside_set_is_contract_error(self, instance, index):
+        assert run(["solve", "--instance", instance, "--index", str(index)]) == 3
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["solve", "--instance", str(tmp_path / "nope.txt")]) == 2
 
@@ -101,6 +184,18 @@ class TestSolve:
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n3 4\n")  # truncated body
         assert run(["solve", "--instance", str(bad)]) == 3
+
+    def test_malformed_native_file_reports_native_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 2\n4 9\n3 x\n3 5\n900 1100\n")
+        assert run(["solve", "--instance", str(bad), "--pop", "4", "--gen", "1"]) == 3
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf"])
+    def test_kappa_not_positive_and_finite_is_contract_error(self, kappa, capsys):
+        assert run(["solve", "--instance", "table3", "--pop", "4", "--gen", "1",
+                    "--kappa", kappa]) == 3
+        assert "kappa" in capsys.readouterr().err
 
 
 class TestBench:
@@ -138,6 +233,16 @@ class TestBench:
 
     def test_missing_file(self, tmp_path):
         assert run(["bench", str(tmp_path / "absent.txt")]) == 2
+
+    def test_builtin_ta20x5_set(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = run(["bench", "ta20x5", "--pop", "4", "--gen", "1", "--runs", "1",
+                    "--seed", "0", "--out", str(out)])
+        assert code == 0
+        tasks = [BenchTask("Ta20x5", k, taillard_instance(20, 5, k)) for k in range(1, 11)]
+        expected = tmp_path / "expected.csv"
+        write_bench_csv(expected, run_benchmark(tasks, RunConfig(4, 1, seed=0), 1))
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestReport:

@@ -1,16 +1,20 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from greenflowshop.instance import (
     Instance,
     InstanceFormatError,
     TABLE9_POWERS,
+    TaillardBlock,
     count_taillard_blocks,
     default_powers,
     format_instance,
     generate_instance,
     generate_taillard_times,
+    is_taillard,
     parse_instance,
     parse_taillard,
     taillard_instance,
@@ -70,6 +74,11 @@ class TestParseTaillard:
         with pytest.raises(InstanceFormatError) as err:
             parse_taillard(bad, 1)
         assert err.value.line == 3
+
+    def test_negative_time_reports_line(self):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_taillard("2 2\ntimes\n3 2\n4 -5\n", 1)
+        assert err.value.line == 4
 
     def test_truncated_matrix(self):
         with pytest.raises(InstanceFormatError, match="truncated"):
@@ -223,6 +232,16 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance.from_matrix([[-1]], [700])
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            Instance.from_matrix([[1]], [power])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_power_row_is_format_error(self, token):
+        with pytest.raises(InstanceFormatError, match="finite"):
+            parse_instance(f"1 2\n3 4\n600 {token}\n")
+
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError):
             Instance(1, 2, ((1, 2),), (700.0,))
@@ -231,3 +250,108 @@ class TestInstanceValidation:
         inst = Instance.from_matrix([[1]], [700])
         with pytest.raises(AttributeError):
             inst.n_jobs = 2
+
+
+class TestFormatChoice:
+    @pytest.mark.parametrize("text", [
+        TOY_TAILLARD,
+        "2 2 9 0 0\n3 2\n4 5\n",
+        "# comment\n\n  times:\n2 2\n3 2\n4 5\n",
+    ])
+    def test_taillard(self, text):
+        assert is_taillard(text)
+
+    @pytest.mark.parametrize("text", [
+        "2 2\n3 4\n2 5\n600 1200\n",
+        "# 2 jobs x 2 machines\n2 2\n3 4\n2 5\n600 1200\n",
+        "2 2\ntimes\n3 2\n4 5\n",  # marker-less Taillard block: read as native
+        "1 2 3 4 5.0\n",
+        "",
+    ])
+    def test_native(self, text):
+        assert not is_taillard(text)
+
+
+# Parser fuzzing: files of random shape whose times and powers include
+# negative and non-finite values, half of them with one token replaced or
+# inserted from values a parser must reject and some with a line dropped;
+# plus arbitrary text.
+_JUNK = ("nan", "inf", "-inf", "1e400", "2.5", "-1", "0", "x", "#", "times:")
+_TIMES = st.integers(-9, 99).map(str)
+_POWERS = st.one_of(st.integers(-1, 1500).map(str),
+                    st.sampled_from(("nan", "inf", "-inf", "1e400")))
+
+
+def _corrupt(draw, rows: list[list[str]]) -> str:
+    rnd = draw(st.randoms())
+    if rnd.random() < 0.5:
+        row = rnd.choice(rows)
+        k = rnd.randint(0, len(row))
+        row[k:k + 1] = [rnd.choice(_JUNK)]
+    if rnd.random() < 0.25:
+        del rows[rnd.randrange(len(rows))]
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+@st.composite
+def _native_texts(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[str(n), str(m)]]
+    rows += [draw(st.lists(_TIMES, min_size=m, max_size=m)) for _ in range(n)]
+    rows.append(draw(st.lists(_POWERS, min_size=m, max_size=m)))
+    return _corrupt(draw, rows)
+
+
+@st.composite
+def _taillard_texts(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        header = [n, m] + ([] if draw(st.booleans()) else [7, 0, 0])
+        rows += [["jobs", "machines:"], [str(v) for v in header], ["times:"]]
+        rows += [draw(st.lists(_TIMES, min_size=n, max_size=n)) for _ in range(m)]
+    return _corrupt(draw, rows)
+
+
+_ANY_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(st.sampled_from(_JUNK + ("1", "2", "3")), max_size=6)
+             .map(" ".join), max_size=10).map("\n".join),
+)
+
+
+def _check_native(text: str) -> None:
+    try:
+        inst = parse_instance(text)
+    except InstanceFormatError:
+        return
+    assert isinstance(inst, Instance)
+    assert all(0 < p < math.inf for p in inst.fixed_power)
+
+
+def _check_taillard(text: str) -> None:
+    try:
+        block = parse_taillard(text, 1)
+    except InstanceFormatError:
+        return
+    assert isinstance(block, TaillardBlock)
+    assert block.n_jobs >= 1 and block.n_machines >= 1
+    # the block takes any valid powers without further errors
+    assert isinstance(block.to_instance([1.0] * block.n_machines), Instance)
+
+
+class TestParserFuzz:
+    @example("1 2\n3 4\n600 nan\n")
+    @given(_native_texts())
+    def test_native_gives_instance_or_format_error(self, text):
+        _check_native(text)
+
+    @example("2 2\ntimes\n3 2\n4 -5\n")
+    @given(_taillard_texts())
+    def test_taillard_gives_block_or_format_error(self, text):
+        _check_taillard(text)
+
+    @given(_ANY_TEXT)
+    def test_any_text(self, text):
+        _check_native(text)
+        _check_taillard(text)

@@ -245,3 +245,12 @@ class TestEvolve:
         front = evolve(table3, RunConfig(pop_size=10, generations=3, seed=2,
                                          ls_enabled=False))
         assert front
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_kappa_not_positive_and_finite(self, kappa):
+        def no_work(*args):
+            raise AssertionError("solver work started")
+
+        with pytest.raises(ValueError, match="kappa"):
+            evolve(TOY, RunConfig(pop_size=4, generations=1), kappa=kappa,
+                   on_generation=no_work)
