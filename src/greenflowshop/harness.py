@@ -4,8 +4,9 @@ extraction, percent-difference records and CSV/JSON emission.
 A benchmark record carries both ends of an instance's merged front: the
 flowtime-minimal point (FT1, EC1) and the energy-minimal point (FT2, EC2),
 plus the percentage the flowtime grows and the energy drops when trading
-one end for the other.  Reports round percentages to two decimals; front
-files print sequences as dash-separated 1-based job ids.
+one end for the other (both 0 when the ends coincide).  Reports round
+percentages to two decimals; front files print sequences as dash-separated
+1-based job ids.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ def extreme_points(front: list[Individual]) -> tuple[Individual, Individual]:
 
 
 def percent_diffs(ft1: float, ec1: float, ft2: float, ec2: float) -> tuple[float, float]:
-    """Percent flowtime growth and energy drop between the two extremes."""
+    """Percent flowtime growth and energy drop between the two extremes;
+    (0.0, 0.0) when both are the same point, as on a front whose
+    flowtime-minimal point already has zero energy."""
+    if (ft1, ec1) == (ft2, ec2):
+        return 0.0, 0.0
     if ft1 <= 0 or ec1 <= 0:
         raise ValueError("reference flowtime and energy must be positive")
     return 100.0 * (ft2 - ft1) / ft1, 100.0 * (ec1 - ec2) / ec1

@@ -40,6 +40,10 @@ __all__ = [
     "tournament_select",
 ]
 
+# Iteration budget of each descent.
+LS_MAX_ITERS = 15
+
+
 @dataclass(frozen=True)
 class RunConfig:
     pop_size: int = 200
@@ -48,7 +52,6 @@ class RunConfig:
     p_mutation: float = 0.05
     seed: int = 0
     ls_enabled: bool = True
-    ls_max_iters: int = 15
     ls_front_cap: int = 200  # descent calls per generation, best fronts first
 
     def __post_init__(self):
@@ -60,8 +63,8 @@ class RunConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if self.ls_max_iters < 0 or self.ls_front_cap < 1:
-            raise ValueError("invalid local search budget")
+        if self.ls_front_cap < 1:
+            raise ValueError("ls_front_cap must be at least 1")
 
 
 def init_population(
@@ -199,9 +202,7 @@ def _apply_local_search(
     slot = {id(ind): k for k, ind in enumerate(pool)}
     harvested: list[Individual] = []
     for ind in candidates:
-        improved, discoveries = vnd_explore(
-            ind, instance, config.ls_max_iters, rng, kappa
-        )
+        improved, discoveries = vnd_explore(ind, instance, LS_MAX_ITERS, rng, kappa)
         if dominates(improved.obj, ind.obj):
             pool[slot[id(ind)]] = improved
         harvested.extend(
@@ -233,7 +234,7 @@ def evolve(
         offspring = _make_offspring(instance, pop, config, var_rng, kappa)
         merged = pop + offspring
         fronts = rank_population(merged)
-        if config.ls_enabled and config.ls_max_iters > 0:
+        if config.ls_enabled:
             ls_rng = stream(config.seed, STREAM_LOCAL, gen)
             _apply_local_search(merged, fronts, instance, config, ls_rng, kappa)
             fronts = rank_population(merged)

@@ -1,6 +1,6 @@
-"""Schedule evaluation: completion times, total flowtime, standby times and
-standby energy, plus an independent discrete-event simulation used to
-cross-check the recurrence path.
+"""Schedule evaluation: total flowtime and standby energy of a permutation
+in one pass, plus an independent discrete-event simulation used to
+cross-check it.
 
 All durations are integer minutes and summed exactly; energy converts the
 accumulated power-minutes to Whr once, via a single multiplicative constant
@@ -10,7 +10,6 @@ accumulated power-minutes to Whr once, via a single multiplicative constant
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .instance import Instance, check_permutation
@@ -18,13 +17,8 @@ from .instance import Instance, check_permutation
 __all__ = [
     "DEFAULT_KAPPA",
     "Objectives",
-    "ScheduleTableau",
-    "completion_times",
     "evaluate",
     "simulate_oracle",
-    "standby_times",
-    "total_energy",
-    "total_flowtime",
 ]
 
 # Minutes-to-hours conversion applied once to the power-minute total.
@@ -36,100 +30,35 @@ class Objectives(NamedTuple):
     energy: float
 
 
-@dataclass
-class ScheduleTableau:
-    """Per-(sequence position, machine) completion and standby matrices."""
+def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectives:
+    """Total flowtime and standby energy of `perm`, in one recurrence.
 
-    completion: list[list[int]]
-    standby: list[list[int]] | None = None
-
-
-def completion_times(instance: Instance, perm) -> ScheduleTableau:
-    """Completion-time matrix of `perm` on `instance`.
-
-    Row i holds the sequence's i-th job; machine 1 chains job after job,
-    later machines start each operation at the max of the machine becoming
-    free and the job leaving the previous machine.
+    Each machine keeps the time it comes free (every machine is free at 0)
+    and its standby minutes.  A job reaches machine 1 at 0 and each later
+    machine when it leaves the one before; a machine that is already free
+    logs the gap as standby, otherwise the job waits for it.  Machine 1
+    never waits, so its power is never charged.
     """
     check_permutation(perm, instance.n_jobs)
-    pt = instance.proc_time
     m = instance.n_machines
-    rows: list[list[int]] = []
-    prev: list[int] | None = None
+    free = [0] * m
+    idle = [0] * m
+    flowtime = 0
     for job in perm:
-        t = pt[job]
-        row = [0] * m
-        if prev is None:
-            c = 0
-            for j in range(m):
-                c += t[j]
-                row[j] = c
-        else:
-            c = prev[0] + t[0]
-            row[0] = c
-            for j in range(1, m):
-                pj = prev[j]
-                if pj > c:
-                    c = pj
-                c += t[j]
-                row[j] = c
-        rows.append(row)
-        prev = row
-    return ScheduleTableau(completion=rows)
-
-
-def standby_times(tableau: ScheduleTableau) -> ScheduleTableau:
-    """Fill the standby matrix: machine 1 never waits, the first job charges
-    each later machine its full warm-up wait, and every following operation
-    charges the gap between the machine coming free and the job arriving."""
-    comp = tableau.completion
-    n = len(comp)
-    m = len(comp[0]) if n else 0
-    standby: list[list[int]] = []
-    first = [0] * m
-    for j in range(1, m):
-        first[j] = comp[0][j - 1]
-    standby.append(first)
-    for i in range(1, n):
-        row = [0] * m
-        ci = comp[i]
-        cprev = comp[i - 1]
-        for j in range(1, m):
-            gap = ci[j - 1] - cprev[j]
-            row[j] = gap if gap > 0 else 0
-        standby.append(row)
-    tableau.standby = standby
-    return tableau
-
-
-def total_flowtime(tableau: ScheduleTableau) -> int:
-    """Sum of last-machine completion times over all sequence positions."""
-    return sum(row[-1] for row in tableau.completion)
-
-
-def total_energy(
-    instance: Instance, tableau: ScheduleTableau, kappa: float = DEFAULT_KAPPA
-) -> float:
-    """Standby energy: per-machine standby minutes times the machine's fixed
-    power, totalled and scaled by `kappa`."""
-    if tableau.standby is None:
-        raise ValueError("standby matrix not computed; call standby_times first")
+        c = 0  # arrival time at machine j, then completion there
+        for j, t in enumerate(instance.proc_time[job]):
+            f = free[j]
+            if c > f:
+                idle[j] += c - f
+            else:
+                c = f
+            c += t
+            free[j] = c
+        flowtime += c
     power_minutes = 0.0
-    for j in range(1, instance.n_machines):
-        minutes = 0
-        for row in tableau.standby:
-            minutes += row[j]
-        power_minutes += instance.fixed_power[j] * minutes
-    return power_minutes * kappa
-
-
-def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectives:
-    """Both objectives of a permutation, via the recurrence tableau."""
-    tableau = standby_times(completion_times(instance, perm))
-    return Objectives(
-        flowtime=total_flowtime(tableau),
-        energy=total_energy(instance, tableau, kappa),
-    )
+    for j in range(1, m):
+        power_minutes += instance.fixed_power[j] * idle[j]
+    return Objectives(flowtime, power_minutes * kappa)
 
 
 def simulate_oracle(

@@ -1,18 +1,16 @@
-"""Dominance arithmetic: Pareto dominance, fast non-dominated sorting into
+"""Dominance arithmetic: Pareto dominance, non-dominated sorting into
 ranked fronts, crowding distance, and the crowded comparison order.
 
 Crowding is the plain unnormalized neighbour-gap sum (boundary members get
-infinity); a normalization switch exists but defaults off.  Energy values
-are compared with exact float equality: they derive deterministically from
-integer power-minute sums scaled once, so no epsilon is involved.
+infinity).  Energy values are compared with exact float equality: they
+derive deterministically from integer power-minute sums scaled once, so no
+epsilon is involved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .objectives import Objectives
 
@@ -59,48 +57,33 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
     """Peel `pop` into ranked fronts (rank 1 = non-dominated).
 
-    Classic two-phase scheme: count how many members dominate each one
-    (n_p), remember whom each member dominates (S_p), then peel fronts by
-    repeatedly releasing members whose count reaches zero.  The pairwise
-    phase runs as one boolean matrix comparison.  Members keep their input
+    One sort by (flowtime, energy), then each member joins the first front
+    whose latest member does not dominate it, or opens a new front.  In
+    that order a front's latest member has its lowest energy, so it is the
+    only one that could dominate a newcomer.  Members keep their input
     order within a front; ranks are written onto the individuals.
     """
-    if not pop:
-        return []
-    ft = np.fromiter((ind.obj.flowtime for ind in pop), dtype=np.float64, count=len(pop))
-    en = np.fromiter((ind.obj.energy for ind in pop), dtype=np.float64, count=len(pop))
-    no_worse = (ft[:, None] <= ft[None, :]) & (en[:, None] <= en[None, :])
-    strictly_better = (ft[:, None] < ft[None, :]) | (en[:, None] < en[None, :])
-    dom = no_worse & strictly_better  # dom[p, q]: p dominates q
-    n_p = dom.sum(axis=0)
-    s_p = [np.flatnonzero(dom[p]) for p in range(len(pop))]
-
-    fronts: FrontSet = []
-    current = np.flatnonzero(n_p == 0)
-    rank = 1
-    while current.size:
-        front = []
-        for p in current:
-            pop[p].rank = rank
-            front.append(pop[p])
-        fronts.append(front)
-        n_p[current] = -1  # retire peeled members
-        for p in current:
-            n_p[s_p[p]] -= 1
-        current = np.flatnonzero(n_p == 0)
-        rank += 1
-    return fronts
+    fronts: list[list[int]] = []
+    for k in sorted(range(len(pop)), key=lambda k: pop[k].obj):
+        for front in fronts:
+            if not dominates(pop[front[-1]].obj, pop[k].obj):
+                front.append(k)
+                break
+        else:
+            fronts.append([k])
+    for rank, front in enumerate(fronts, 1):
+        front.sort()
+        for k in front:
+            pop[k].rank = rank
+    return [[pop[k] for k in front] for front in fronts]
 
 
-def crowding_distance(
-    front: list[Individual], normalize: bool = False
-) -> list[Individual]:
+def crowding_distance(front: list[Individual]) -> list[Individual]:
     """Assign crowding distances within one front.
 
     Boundary members of either objective get infinity; interior members
-    accumulate the gap between their two neighbours per objective,
-    unnormalized unless `normalize` divides each gap by that objective's
-    front range.  Fronts of one or two members are all boundary.
+    accumulate the unnormalized gap between their two neighbours per
+    objective.  Fronts of one or two members are all boundary.
     """
     k = len(front)
     if k == 0:
@@ -114,10 +97,8 @@ def crowding_distance(
         order = sorted(range(k), key=value)
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
-        span = value(order[-1]) - value(order[0])
-        scale = span if normalize and span > 0 else 1.0
         for pos in range(1, k - 1):
-            dist[order[pos]] += abs(value(order[pos + 1]) - value(order[pos - 1])) / scale
+            dist[order[pos]] += abs(value(order[pos + 1]) - value(order[pos - 1]))
     for ind, d in zip(front, dist):
         ind.crowding = d
     return front

@@ -231,6 +231,20 @@ class TestBench:
         records = read_bench_csv(out)
         assert [r.dataset for r in records] == [1, 2]
 
+    @pytest.mark.parametrize("text", [
+        "3 1\n4\n2\n5\n900\n",
+        "3 2\n0 4\n0 2\n0 5\n900 700\n",
+    ], ids=["one-machine", "zero-first-machine-times"])
+    def test_zero_energy_front_gives_zero_percentages(self, tmp_path, text):
+        inst_path = tmp_path / "flat.txt"
+        inst_path.write_text(text)
+        out = tmp_path / "bench.csv"
+        code = run(["bench", str(inst_path), "--pop", "4", "--gen", "1",
+                    "--runs", "2", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",0.0,0.00,0.00")
+
     def test_missing_file(self, tmp_path):
         assert run(["bench", str(tmp_path / "absent.txt")]) == 2
 

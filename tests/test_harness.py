@@ -61,6 +61,7 @@ class TestPercentDiffs:
 
     def test_no_change(self):
         assert percent_diffs(10, 10, 10, 10) == (0.0, 0.0)
+        assert percent_diffs(11, 0.0, 11, 0.0) == (0.0, 0.0)  # zero-energy one-point front
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):

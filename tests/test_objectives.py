@@ -5,15 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenflowshop.instance import Instance
-from greenflowshop.objectives import (
-    DEFAULT_KAPPA,
-    completion_times,
-    evaluate,
-    simulate_oracle,
-    standby_times,
-    total_energy,
-    total_flowtime,
-)
+from greenflowshop.objectives import DEFAULT_KAPPA, evaluate, simulate_oracle
 from support import random_instance
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -21,33 +13,24 @@ TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
 class TestWorkedExample:
     """2 jobs x 2 machines, powers (600, 1200): values derived by hand from
-    the completion/standby recurrences and confirmed by the event simulation."""
-
-    def test_completion_job1_first(self):
-        tab = completion_times(TOY, (0, 1))
-        assert tab.completion == [[3, 7], [5, 12]]
-
-    def test_completion_job2_first(self):
-        tab = completion_times(TOY, (1, 0))
-        assert tab.completion == [[2, 7], [5, 11]]
+    the completion/standby recurrences and confirmed by the event simulation.
+    Job 1 first completes at (3, 7) and (5, 12); job 2 first completes at
+    (2, 7) and (5, 11)."""
 
     def test_standby_job1_first(self):
-        tab = standby_times(completion_times(TOY, (0, 1)))
-        assert tab.standby == [[0, 3], [0, 0]]
+        # machine 2 waits 3 minutes for the first job; kappa 1 keeps power-minutes
+        assert evaluate(TOY, (0, 1), kappa=1.0).energy == 3 * 1200
 
     def test_standby_job2_first(self):
-        tab = standby_times(completion_times(TOY, (1, 0)))
-        assert tab.standby == [[0, 2], [0, 0]]
+        assert evaluate(TOY, (1, 0), kappa=1.0).energy == 2 * 1200
 
     def test_flowtimes(self):
-        assert total_flowtime(completion_times(TOY, (0, 1))) == 19
-        assert total_flowtime(completion_times(TOY, (1, 0))) == 18
+        assert evaluate(TOY, (0, 1)).flowtime == 7 + 12
+        assert evaluate(TOY, (1, 0)).flowtime == 7 + 11
 
     def test_energies_exact(self):
-        tab = standby_times(completion_times(TOY, (0, 1)))
-        assert total_energy(TOY, tab) == 60.0
-        tab = standby_times(completion_times(TOY, (1, 0)))
-        assert total_energy(TOY, tab) == 40.0
+        assert evaluate(TOY, (0, 1)).energy == 60.0
+        assert evaluate(TOY, (1, 0)).energy == 40.0
 
     def test_evaluate_pairs_exact(self):
         assert evaluate(TOY, (0, 1)) == (19, 60.0)
@@ -61,7 +44,6 @@ class TestWorkedExample:
 class TestBaseCases:
     def test_single_cell(self):
         inst = Instance.from_matrix([[5]], [900])
-        assert completion_times(inst, (0,)).completion == [[5]]
         assert evaluate(inst, (0,)) == (5, 0.0)
         assert simulate_oracle(inst, (0,)) == (5, 0.0)
 
@@ -74,16 +56,15 @@ class TestBaseCases:
         assert obj.energy == 0.0
 
     def test_machine_one_never_waits(self):
-        tab = standby_times(completion_times(TOY, (0, 1)))
-        assert all(row[0] == 0 for row in tab.standby)
-
-    def test_energy_requires_standby(self):
-        with pytest.raises(ValueError):
-            total_energy(TOY, completion_times(TOY, (0, 1)))
+        # so its power rating never enters the energy
+        for inst, perm in _random_cases():
+            powers = (inst.fixed_power[0] * 7 + 1, *inst.fixed_power[1:])
+            changed = Instance.from_matrix(inst.proc_time, powers)
+            assert evaluate(changed, perm) == evaluate(inst, perm)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            completion_times(TOY, (0, 1, 2))
+            evaluate(TOY, (0, 1, 2))
         with pytest.raises(ValueError):
             evaluate(TOY, (0, 0))
 
@@ -98,25 +79,30 @@ def _random_cases():
         yield inst, perm
 
 
-class TestInvariants:
-    def test_completion_monotone_and_bounded_below(self):
-        for inst, perm in _random_cases():
-            comp = completion_times(inst, perm).completion
-            for i, row in enumerate(comp):
-                for j, c in enumerate(row):
-                    assert c >= inst.proc_time[perm[i]][j]
-                    if j > 0:
-                        assert row[j] >= row[j - 1]
-                    if i > 0:
-                        assert comp[i][j] >= comp[i - 1][j]
+@st.composite
+def shops(draw):
+    """A shop of up to 6 jobs and 5 machines (zero times allowed) and one
+    of its permutations."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 99), min_size=m, max_size=m)
+    times = draw(st.lists(row, min_size=n, max_size=n))
+    power = st.integers(1, 1500) | st.floats(0.5, 5000.0)
+    powers = draw(st.lists(power, min_size=m, max_size=m))
+    perm = draw(st.permutations(range(n)))
+    return Instance.from_matrix(times, powers), tuple(perm)
 
+
+class TestInvariants:
     def test_flowtime_bounds(self):
         for inst, perm in _random_cases():
-            tab = completion_times(inst, perm)
-            flow = total_flowtime(tab)
-            makespan = tab.completion[-1][-1]
-            assert flow >= makespan
-            assert flow >= sum(inst.proc_time[j][-1] for j in perm)
+            assert evaluate(inst, perm).flowtime >= sum(inst.proc_time[j][-1] for j in perm)
+
+    @given(shops(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
+    def test_oracle_agrees_exactly(self, shop, kappa):
+        inst, perm = shop
+        got, expected = evaluate(inst, perm, kappa), simulate_oracle(inst, perm, kappa)
+        assert got.flowtime == expected.flowtime
+        assert repr(got.energy) == repr(expected.energy)
 
     def test_oracle_equivalence(self):
         for inst, perm in _random_cases():

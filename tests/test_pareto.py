@@ -73,19 +73,17 @@ class TestFastNondominatedSort:
         assert fast_nondominated_sort([]) == []
 
     def test_matches_peeling_oracle(self):
+        # same members in the same (input) order, front by front
         rng = random.Random(99)
-        for _ in range(60):
-            points = [
-                (rng.randint(0, 30), rng.randint(0, 30))
-                for _ in range(rng.randint(1, 64))
-            ]
+        sizes = [rng.randint(1, 64) for _ in range(60)]
+        sizes += [rng.randint(65, 400) for _ in range(20)]
+        for size in sizes:
+            span = rng.choice([3, 30, 1000])
+            points = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(size)]
             pop = pop_from(points)
             fronts = fast_nondominated_sort(pop)
-            got = [sorted(id(i) for i in f) for f in fronts]
-            expected = [
-                sorted(id(pop[k]) for k in layer)
-                for layer in naive_front_peel(points)
-            ]
+            got = [[id(i) for i in f] for f in fronts]
+            expected = [[id(pop[k]) for k in layer] for layer in naive_front_peel(points)]
             assert got == expected
 
     def test_front_set_invariants(self):
@@ -119,11 +117,6 @@ class TestCrowdingDistance:
         front = pop_from([(10, 3), (20, 2), (30, 1)])
         crowding_distance(front)
         assert front[1].crowding == 22.0  # |30-10| + |1-3|
-
-    def test_normalized_switch(self):
-        front = pop_from([(10, 3), (20, 2), (30, 1)])
-        crowding_distance(front, normalize=True)
-        assert front[1].crowding == pytest.approx(2.0)
 
     @given(st.integers(2, 9))
     def test_scaling_flowtime_scales_its_contribution(self, c):
