@@ -9,7 +9,8 @@ read-only) and a small native format that also carries the power column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .seeding import stream
 
@@ -81,12 +82,17 @@ class InstanceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable flowshop instance; safe to share across solver runs."""
+    """Immutable flowshop instance; safe to share across solver runs.
+
+    `machine_load` (total processing minutes per machine) is derived from
+    `proc_time` and takes no part in equality, hashing or repr.
+    """
 
     n_jobs: int
     n_machines: int
     proc_time: tuple[tuple[int, ...], ...]  # job-major, minutes
     fixed_power: tuple[float, ...]  # one rating per machine
+    machine_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_jobs < 1 or self.n_machines < 1:
@@ -96,18 +102,33 @@ class Instance:
         for row in self.proc_time:
             if len(row) != self.n_machines:
                 raise ValueError("proc_time row width does not match n_machines")
+            if not all(type(t) is int for t in row):
+                raise ValueError("processing times must be integer minutes")
             if any(t < 0 for t in row):
                 raise ValueError("processing times must be non-negative")
         if len(self.fixed_power) != self.n_machines:
             raise ValueError("fixed_power length does not match n_machines")
         if not all(0 < p < math.inf for p in self.fixed_power):
             raise ValueError("fixed powers must be positive and finite")
+        object.__setattr__(self, "machine_load", tuple(map(sum, zip(*self.proc_time))))
 
     @classmethod
     def from_matrix(cls, proc_time, fixed_power) -> "Instance":
-        rows = tuple(tuple(int(t) for t in row) for row in proc_time)
+        """Build from any nested sequence of whole numbers (numpy integers
+        and integral floats included); any other time raises ValueError."""
+        rows = tuple(tuple(_minutes(t) for t in row) for row in proc_time)
         powers = tuple(float(p) for p in fixed_power)
         return cls(len(rows), len(rows[0]) if rows else 0, rows, powers)
+
+
+def _minutes(t) -> int:
+    if not isinstance(t, bool):
+        try:
+            return operator.index(t)
+        except TypeError:
+            if isinstance(t, float) and t.is_integer():
+                return int(t)
+    raise ValueError(f"processing times must be integer minutes, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ Three operators cycle in order: position swap and segment reversal propose
 two neighbours per call, job reinsertion proposes ten.  The descent keeps a
 single incumbent, recenters on it whenever some neighbour strictly
 dominates it, and stops once all three operators fail in a row or the
-iteration budget runs out.
+iteration budget runs out.  Every neighbour agrees with the incumbent up
+to its first changed position, so it is evaluated from the incumbent's
+per-position recurrence state instead of from scratch.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import Instance
-from .objectives import DEFAULT_KAPPA, evaluate
+from .objectives import DEFAULT_KAPPA, evaluate, schedule_prefix
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 
 __all__ = [
@@ -112,12 +114,22 @@ def vnd_explore(
 ) -> tuple[Individual, list[Individual]]:
     """Descend from `start` and harvest the walk's trade-off discoveries.
 
-    Each pass proposes the active operator's neighbours of the incumbent,
-    keeps the pool's rank-1 set, and picks its sole member or the one with
-    the largest crowding distance.  A pick that dominates the incumbent
-    becomes the new centre (operator unchanged); otherwise the next
-    operator takes over.  Three consecutive operator failures mean none of
-    them can improve the incumbent, which ends the search early.
+    Each pass proposes the active operator's neighbours of the incumbent.
+    If one of them dominates the incumbent, the pool's rank-1 set is taken
+    and its sole member or the one with the largest crowding distance is
+    picked; a pick that dominates the incumbent becomes the new centre
+    (operator unchanged).  Otherwise the next operator takes over.  Three
+    consecutive operator failures mean none of them can improve the
+    incumbent, which ends the search early.
+
+    Ranking only when a neighbour dominates gives the same walk as ranking
+    the pool plus the incumbent every pass: without such a neighbour the
+    incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
+    incumbent is not rank 1 and changes no other member's rank-1 status,
+    so it is left out of the pool.  Ranking draws no random numbers, and
+    its marks land only on discarded pool members.  Neighbours are priced
+    from the incumbent's `Prefix`, rebuilt from the states the new
+    incumbent shares with the old one whenever the incumbent changes.
 
     Returns the final incumbent (the start itself or a solution dominating
     it) plus the mutually non-dominated set of every candidate evaluated
@@ -139,20 +151,23 @@ def vnd_explore(
     flag = 0
     failures = 0
     g = 1
+    prefix = schedule_prefix(instance, best.perm)
     while g < max_iters:
         neighbours = NEIGHBORHOOD_OPS[a](best.perm, rng)
-        pool = [Individual(p, evaluate(instance, p, kappa)) for p in neighbours]
+        pool = [Individual(p, evaluate(instance, p, kappa, prefix)) for p in neighbours]
         for ind in pool:
             harvest(ind)
-        pool.append(best.copy())
-        top = fast_nondominated_sort(pool)[0]
-        if len(top) == 1:
-            pick = top[0]
-        else:
-            crowding_distance(top)
-            pick = max(top, key=lambda ind: ind.crowding)
-        if dominates(pick.obj, best.obj):
+        pick = None
+        if any(dominates(ind.obj, best.obj) for ind in pool):
+            top = fast_nondominated_sort(pool)[0]
+            if len(top) == 1:
+                pick = top[0]
+            else:
+                crowding_distance(top)
+                pick = max(top, key=lambda ind: ind.crowding)
+        if pick is not None and dominates(pick.obj, best.obj):
             best = pick.copy()
+            prefix = schedule_prefix(instance, best.perm, prefix)
             failures = 0
         else:
             flag += 1

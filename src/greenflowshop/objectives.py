@@ -5,6 +5,14 @@ cross-check it.
 All durations are integer minutes and summed exactly; energy converts the
 accumulated power-minutes to Whr once, via a single multiplicative constant
 (default 1/60, minutes to hours against the Whr-rated machine powers).
+
+The recurrence keeps only the time each machine comes free.  From 0 to its
+last completion a machine is either processing or on standby, so its
+standby minutes are its final free time minus its total processing
+minutes (`Instance.machine_load`).  A `Prefix` holds that state after each
+position of one permutation; `evaluate` resumes from it at the first
+position where its permutation differs, which is how the descent prices
+swap, reversal and reinsertion neighbours of its incumbent.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ from .instance import Instance, check_permutation
 __all__ = [
     "DEFAULT_KAPPA",
     "Objectives",
+    "Prefix",
     "evaluate",
+    "schedule_prefix",
     "simulate_oracle",
 ]
 
@@ -30,34 +40,85 @@ class Objectives(NamedTuple):
     energy: float
 
 
-def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectives:
-    """Total flowtime and standby energy of `perm`, in one recurrence.
+class Prefix(NamedTuple):
+    """The recurrence state of `perm` after each of its positions:
+    `states[i]` is (each machine's free time, flowtime) once the first `i`
+    jobs are scheduled, so `states[0]` is all zeros."""
 
-    Each machine keeps the time it comes free (every machine is free at 0)
-    and its standby minutes.  A job reaches machine 1 at 0 and each later
-    machine when it leaves the one before; a machine that is already free
-    logs the gap as standby, otherwise the job waits for it.  Machine 1
-    never waits, so its power is never charged.
+    perm: tuple[int, ...]
+    states: list[tuple[tuple[int, ...], int]]
+
+
+def _advance(instance: Instance, perm, start: int, free: list[int], flowtime: int,
+             states: list | None = None) -> int:
+    """Schedule `perm[start:]` after a state; return the flowtime.
+
+    `free[j]` is the time machine j comes free (updated in place).  A job
+    starts on machine 1 as soon as it is free and reaches each later
+    machine when it leaves the one before, starting once both it and the
+    machine are there.  With `states`, the state after each job is
+    appended to it.
     """
-    check_permutation(perm, instance.n_jobs)
-    m = instance.n_machines
-    free = [0] * m
-    idle = [0] * m
-    flowtime = 0
-    for job in perm:
-        c = 0  # arrival time at machine j, then completion there
-        for j, t in enumerate(instance.proc_time[job]):
+    pt = instance.proc_time
+    later = range(1, instance.n_machines)
+    for job in perm[start:]:
+        row = pt[job]
+        c = free[0] + row[0]  # completion on machine 1, which never waits
+        free[0] = c
+        for j in later:
             f = free[j]
-            if c > f:
-                idle[j] += c - f
-            else:
+            if c < f:
                 c = f
-            c += t
+            c += row[j]
             free[j] = c
         flowtime += c
+        if states is not None:
+            states.append((tuple(free), flowtime))
+    return flowtime
+
+
+def _resume(instance: Instance, perm, prefix: Prefix | None) -> tuple[int, list[int], int]:
+    """The first position `k` where `perm` leaves `prefix.perm` (0 without
+    a prefix) and the state there, with a fresh list of free times."""
+    if prefix is None:
+        return 0, [0] * instance.n_machines, 0
+    k = 0
+    for a, b in zip(perm, prefix.perm):
+        if a != b:
+            break
+        k += 1
+    free, flowtime = prefix.states[k]
+    return k, list(free), flowtime
+
+
+def schedule_prefix(instance: Instance, perm, base: Prefix | None = None) -> Prefix:
+    """The per-position recurrence state of `perm`, for `evaluate(prefix=)`;
+    the states it shares with a `base` of the same instance are reused."""
+    k, free, flowtime = _resume(instance, perm, base)
+    states = [(tuple(free), 0)] if base is None else base.states[: k + 1]
+    _advance(instance, perm, k, free, flowtime, states)
+    return Prefix(tuple(perm), states)
+
+
+def evaluate(
+    instance: Instance, perm, kappa: float = DEFAULT_KAPPA, prefix: Prefix | None = None
+) -> Objectives:
+    """Total flowtime and standby energy of `perm`, in one recurrence.
+
+    Standby on machine j is its last completion minus its processing
+    minutes; machine 1 never waits, so its power is never charged.  The
+    power-minutes are summed over machines 2..m from 0.0 and scaled by
+    `kappa` once.  With a `prefix` of the same instance, the positions
+    `perm` shares with `prefix.perm` are taken from its states and only
+    the rest is recomputed; the result is the same either way.
+    """
+    check_permutation(perm, instance.n_jobs)
+    k, free, flowtime = _resume(instance, perm, prefix)
+    flowtime = _advance(instance, perm, k, free, flowtime)
+    power, load = instance.fixed_power, instance.machine_load
     power_minutes = 0.0
-    for j in range(1, m):
-        power_minutes += instance.fixed_power[j] * idle[j]
+    for j in range(1, instance.n_machines):
+        power_minutes += power[j] * (free[j] - load[j])
     return Objectives(flowtime, power_minutes * kappa)
 
 

@@ -11,7 +11,14 @@ import itertools
 import random
 
 from greenflowshop.instance import Instance
-from greenflowshop.objectives import evaluate
+from greenflowshop.localsearch import NEIGHBORHOOD_OPS
+from greenflowshop.objectives import DEFAULT_KAPPA, evaluate
+from greenflowshop.pareto import (
+    Individual,
+    crowding_distance,
+    dominates,
+    fast_nondominated_sort,
+)
 
 
 def naive_dominates(a, b) -> bool:
@@ -54,6 +61,49 @@ def enumerate_front(instance: Instance, kappa: float = 1.0 / 60.0):
         if not any(naive_dominates(other, obj) for other in objs.values()):
             front[perm] = obj
     return objs, front
+
+
+def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
+    """The descent as first written: every neighbour gets a full `evaluate`,
+    and every pass ranks its pool and picks the most crowded rank-1 member,
+    whether or not any neighbour dominates the incumbent."""
+    best = start.copy()
+    archive = [best.copy()]
+
+    def harvest(ind):
+        for kept in archive:
+            if kept.obj == ind.obj or dominates(kept.obj, ind.obj):
+                return
+        archive[:] = [kept for kept in archive if not dominates(ind.obj, kept.obj)]
+        archive.append(ind.copy())
+
+    a = 0
+    flag = 0
+    failures = 0
+    g = 1
+    while g < max_iters:
+        neighbours = NEIGHBORHOOD_OPS[a](best.perm, rng)
+        pool = [Individual(p, evaluate(instance, p, kappa)) for p in neighbours]
+        for ind in pool:
+            harvest(ind)
+        pool.append(best.copy())
+        top = fast_nondominated_sort(pool)[0]
+        if len(top) == 1:
+            pick = top[0]
+        else:
+            crowding_distance(top)
+            pick = max(top, key=lambda ind: ind.crowding)
+        if dominates(pick.obj, best.obj):
+            best = pick.copy()
+            failures = 0
+        else:
+            flag += 1
+            a = flag % 3
+            failures += 1
+            if failures == 3:
+                break
+        g += 1
+    return best, archive
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -241,6 +242,33 @@ class TestInstanceValidation:
     def test_non_finite_power_row_is_format_error(self, token):
         with pytest.raises(InstanceFormatError, match="finite"):
             parse_instance(f"1 2\n3 4\n600 {token}\n")
+
+    @pytest.mark.parametrize("time", [
+        float("nan"), float("inf"), 1.7, 2.0, True, False,
+    ])
+    def test_non_integer_time_rejected(self, time):
+        with pytest.raises(ValueError, match="integer"):
+            Instance(2, 2, ((time, 2), (3, 4)), (700.0, 800.0))
+
+    @pytest.mark.parametrize("time", [
+        float("nan"), float("inf"), float("-inf"), 1.7, -0.5, True,
+    ])
+    def test_from_matrix_rejects_non_integer_time(self, time):
+        with pytest.raises(ValueError, match="integer"):
+            Instance.from_matrix([[time, 2]], [700, 800])
+
+    def test_from_matrix_keeps_whole_numbers(self):
+        inst = Instance.from_matrix([[np.int64(3), 4.0]], [700, 800])
+        assert inst.proc_time == ((3, 4),)
+        assert all(type(t) is int for t in inst.proc_time[0])
+
+    def test_machine_load_is_derived(self):
+        inst = Instance.from_matrix([[3, 0], [2, 5], [4, 1]], [700, 800])
+        assert inst.machine_load == (9, 6)
+        same = Instance(3, 2, inst.proc_time, inst.fixed_power)
+        assert same == inst and hash(same) == hash(inst)
+        assert "machine_load" not in repr(inst)
+        assert parse_instance(format_instance(inst)) == inst
 
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from greenflowshop import localsearch
 from greenflowshop.instance import Instance
 from greenflowshop.localsearch import (
     NEIGHBORHOOD_OPS,
@@ -17,7 +20,7 @@ from greenflowshop.localsearch import (
 )
 from greenflowshop.objectives import evaluate
 from greenflowshop.pareto import Individual, dominates
-from support import enumerate_front, random_instance
+from support import enumerate_front, random_instance, reference_vnd_explore
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -129,6 +132,18 @@ class TestVnd:
             # a Pareto-optimal start admits no dominating neighbour
             assert best.obj == start.obj
 
+    def test_pareto_start_ranks_no_pool(self, monkeypatch):
+        # no neighbour can dominate a Pareto-optimal start, so no pool is ranked
+        sorts = []
+        monkeypatch.setattr(localsearch, "fast_nondominated_sort",
+                            lambda pool: sorts.append(pool))
+        rng_py = random.Random(11)
+        inst = random_instance(rng_py, 4, 3)
+        _, front = enumerate_front(inst)
+        for perm, obj in front.items():
+            vnd_explore(Individual(perm, obj), inst, 15, np.random.default_rng(11))
+        assert sorts == []
+
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)
         rng = np.random.default_rng(10)
@@ -141,3 +156,48 @@ class TestVnd:
         for a, b in itertools.combinations(objs, 2):
             assert not dominates(a, b) and not dominates(b, a)
         assert any(ind.obj == best.obj for ind in archive)
+
+
+@st.composite
+def descent_cases(draw):
+    """A small shop (zero times allowed, ties likely), a start permutation,
+    a budget of 0-15 iterations and a generator seed."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m)
+    times = draw(st.lists(row, min_size=n, max_size=n))
+    powers = draw(st.lists(st.integers(1, 1500), min_size=m, max_size=m))
+    perm = tuple(draw(st.permutations(range(n))))
+    return (Instance.from_matrix(times, powers), perm,
+            draw(st.integers(0, 15)), draw(st.integers(0, 2**32 - 1)))
+
+
+def _same_descent(instance, perm, max_iters, seed):
+    start = Individual(perm, evaluate(instance, perm))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    best, archive = vnd_explore(start, instance, max_iters, rng)
+    ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
+    assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
+    assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestAgainstReference:
+    """The descent must walk exactly as the always-rank, full-evaluation
+    reference in `support` does: same incumbent, same archive in the same
+    order, and the generator left in the same state."""
+
+    @given(descent_cases())
+    @example((Instance.from_matrix([[4]], [800]), (0,), 15, 0))
+    @example((Instance.from_matrix([[0], [3]], [800]), (1, 0), 15, 1))
+    @example((Instance.from_matrix([[0, 0], [0, 0]], [800, 900]), (0, 1), 15, 2))
+    @example((TOY, (0, 1), 0, 3))
+    def test_matches_reference(self, case):
+        _same_descent(*case)
+
+    def test_matches_reference_on_random_shops(self):
+        rng = random.Random(31)
+        for case in range(160):
+            n, m = rng.randint(1, 12), rng.randint(1, 5)
+            times = [[rng.choice((0, rng.randint(1, 30))) for _ in range(m)] for _ in range(n)]
+            inst = Instance.from_matrix(times, [rng.randint(700, 1500) for _ in range(m)])
+            _same_descent(inst, tuple(rng.sample(range(n), n)), case % 16, case)

@@ -1,10 +1,17 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from greenflowshop.instance import Instance, check_permutation
+from greenflowshop.instance import (
+    Instance,
+    check_permutation,
+    generate_instance,
+    load_table3,
+    taillard_instance,
+)
 from greenflowshop.nsga2 import (
     RunConfig,
     elite_retention,
@@ -254,3 +261,38 @@ class TestEvolve:
         with pytest.raises(ValueError, match="kappa"):
             evolve(TOY, RunConfig(pop_size=4, generations=1), kappa=kappa,
                    on_generation=no_work)
+
+
+def _front_fingerprint(front) -> str:
+    digest = hashlib.sha256()
+    for member in front:
+        triple = (member.perm, member.obj.flowtime, repr(member.obj.energy))
+        digest.update(repr(triple).encode())
+    return digest.hexdigest()
+
+
+class TestSeededFronts:
+    """Fixed-seed fronts pinned byte for byte (permutation, flowtime and the
+    energy's repr): a speed-up of any layer must leave these unchanged."""
+
+    @pytest.mark.parametrize("instance, config, expected", [
+        pytest.param(
+            load_table3, RunConfig(pop_size=20, generations=5, seed=7),
+            "ceaa7a37a9f7f7d355cab9b15a09715d88736b3ed32e39dbc62c10100bb511fa",
+            id="table3-descent",
+        ),
+        pytest.param(
+            lambda: taillard_instance(20, 5, 1),
+            RunConfig(pop_size=30, generations=10, seed=7, ls_enabled=False),
+            "beb17272f1805a881b6b6e114686878ab1926ed40a47c582ae61171c920cca56",
+            id="ta20x5-1-ga-only",
+        ),
+        pytest.param(
+            lambda: generate_instance(50, 10, 3),
+            RunConfig(pop_size=8, generations=2, seed=7),
+            "8a56209540ed09f053be9eabad6c259f54c983dde51a4b3d11c56c07d0ab0222",
+            id="random-50x10-descent",
+        ),
+    ])
+    def test_front_fingerprint(self, instance, config, expected):
+        assert _front_fingerprint(evolve(instance(), config)) == expected

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenflowshop.instance import Instance
-from greenflowshop.objectives import DEFAULT_KAPPA, evaluate, simulate_oracle
+from greenflowshop.localsearch import insert_job, reverse_window, swap_positions
+from greenflowshop.objectives import (
+    DEFAULT_KAPPA,
+    evaluate,
+    schedule_prefix,
+    simulate_oracle,
+)
 from support import random_instance
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -146,3 +152,48 @@ class TestInvariants:
         assert obj_1.energy == 3600.0
         assert evaluate(TOY, (0, 1), kappa=0.5).energy == 1800.0
         assert DEFAULT_KAPPA == pytest.approx(1 / 60)
+
+
+@st.composite
+def neighbour_moves(draw):
+    """A shop, an incumbent and one of its neighbours: a swap, a reversal
+    or a reinsertion, or a neighbour sharing no prefix (k = 0) or all of it
+    (k = n)."""
+    inst, perm = draw(shops())
+    n = inst.n_jobs
+    kind = draw(st.sampled_from(["swap", "reverse", "insert", "k=0", "k=n"]))
+    if kind == "k=n" or n == 1:
+        return inst, perm, perm
+    if kind == "k=0":
+        other = draw(st.permutations(range(n)).filter(lambda p: p[0] != perm[0]))
+        return inst, perm, tuple(other)
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    if kind == "swap":
+        return inst, perm, swap_positions(perm, i, j)
+    if kind == "reverse":
+        return inst, perm, reverse_window(perm, min(i, j), max(i, j) + 1)
+    return inst, perm, insert_job(perm, i, j)
+
+
+class TestPrefix:
+    @given(neighbour_moves(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
+    def test_prefix_path_agrees_exactly(self, move, kappa):
+        inst, incumbent, neighbour = move
+        prefix = schedule_prefix(inst, incumbent)
+        got = evaluate(inst, neighbour, kappa, prefix)
+        for expected in (evaluate(inst, neighbour, kappa),
+                         simulate_oracle(inst, neighbour, kappa)):
+            assert got.flowtime == expected.flowtime
+            assert repr(got.energy) == repr(expected.energy)
+        assert schedule_prefix(inst, neighbour, prefix) == schedule_prefix(inst, neighbour)
+
+    def test_states_follow_the_worked_example(self):
+        # job 1 first completes at (3, 7), then job 2 at (5, 12)
+        prefix = schedule_prefix(TOY, (0, 1))
+        assert prefix.states == [((0, 0), 0), ((3, 7), 7), ((5, 12), 19)]
+
+    def test_prefix_does_not_skip_the_permutation_check(self):
+        prefix = schedule_prefix(TOY, (0, 1))
+        with pytest.raises(ValueError):
+            evaluate(TOY, (0, 0), prefix=prefix)
