@@ -18,17 +18,19 @@ from . import harness, tuning
 from .instance import (
     TAILLARD_TIME_SEEDS,
     Instance,
-    count_taillard_blocks,
     default_powers,
     format_instance,
     generate_instance,
     is_taillard,
     load_table3,
     parse_instance,
-    parse_taillard,
+    parse_taillard_blocks,
     save_instance,
     taillard_instance,
 )
+# The loader reads a Taillard file in one `parse_taillard_blocks` pass; the
+# per-block parsers stay bound here because perfbench wraps them by name.
+from .instance import count_taillard_blocks, parse_taillard  # noqa: F401
 from .nsga2 import RunConfig, evolve
 from .objectives import DEFAULT_KAPPA
 
@@ -105,15 +107,21 @@ def _config(args) -> RunConfig:
     )
 
 
-def _resolve_powers(spec: str, n_machines: int):
+def _power_source(spec: str):
+    """Machine count -> standby powers: the built-in `table9` list, or the
+    leading values of a number file, which is read here once."""
     if spec == "table9":
-        return default_powers(n_machines)
+        return default_powers
     values = [float(tok) for tok in Path(spec).read_text(encoding="utf-8").split()]
-    if len(values) < n_machines:
-        raise ValueError(
-            f"power file {spec} has {len(values)} values, need {n_machines}"
-        )
-    return tuple(values[:n_machines])
+
+    def leading(n_machines: int) -> tuple[float, ...]:
+        if len(values) < n_machines:
+            raise ValueError(
+                f"power file {spec} has {len(values)} values, need {n_machines}"
+            )
+        return tuple(values[:n_machines])
+
+    return leading
 
 
 def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
@@ -131,12 +139,12 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     label = Path(spec).stem
     if not is_taillard(text):
         return [harness.BenchTask(label, 1, parse_instance(text))]
-    tasks = []
-    for k in range(1, count_taillard_blocks(text) + 1):
-        block = parse_taillard(text, k)
-        powers = _resolve_powers(powers_spec, block.n_machines)
-        tasks.append(harness.BenchTask(label, k, block.to_instance(powers)))
-    return tasks
+    blocks = parse_taillard_blocks(text)
+    powers = _power_source(powers_spec)
+    return [
+        harness.BenchTask(label, k, block.to_instance(powers(block.n_machines)))
+        for k, block in enumerate(blocks, start=1)
+    ]
 
 
 def _load_instance(args) -> Instance:

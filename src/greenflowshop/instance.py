@@ -29,6 +29,7 @@ __all__ = [
     "load_table3",
     "parse_instance",
     "parse_taillard",
+    "parse_taillard_blocks",
     "format_instance",
     "save_instance",
     "taillard_instance",
@@ -254,7 +255,15 @@ def _int_tokens(line: str) -> list[int] | None:
         raise InstanceFormatError("non-integer value in data line", None)
 
 
-def _parse_taillard_blocks(text: str) -> list[TaillardBlock]:
+def parse_taillard_blocks(text: str) -> list[TaillardBlock]:
+    """Every block of a Taillard file, in file order, from one pass.
+
+    Each block is a header line (jobs, machines, and optionally time seed,
+    upper bound, lower bound) followed by a machine-major matrix of
+    n_machines rows by n_jobs integers; marker lines are ignored.  The
+    matrix is transposed so rows are jobs.  The header's seed field is kept
+    but never used to regenerate times.
+    """
     lines = text.splitlines()
     blocks: list[TaillardBlock] = []
     i = 0
@@ -305,17 +314,10 @@ def _parse_taillard_blocks(text: str) -> list[TaillardBlock]:
 
 
 def parse_taillard(text: str, instance_index: int) -> TaillardBlock:
-    """Parse block `instance_index` (1-based) out of a Taillard file.
-
-    Each block is a header line (jobs, machines, and optionally time seed,
-    upper bound, lower bound) followed by a machine-major matrix of
-    n_machines rows by n_jobs integers; marker lines are ignored.  The
-    matrix is transposed so rows are jobs.  The header's seed field is kept
-    but never used to regenerate times.
-    """
+    """Parse block `instance_index` (1-based) out of a Taillard file."""
     if instance_index < 1:
         raise IndexError("instance_index is 1-based")
-    blocks = _parse_taillard_blocks(text)
+    blocks = parse_taillard_blocks(text)
     if instance_index > len(blocks):
         raise IndexError(
             f"instance index {instance_index} outside 1..{len(blocks)}"
@@ -325,7 +327,7 @@ def parse_taillard(text: str, instance_index: int) -> TaillardBlock:
 
 def count_taillard_blocks(text: str) -> int:
     """Number of instance blocks in a Taillard file."""
-    return len(_parse_taillard_blocks(text))
+    return len(parse_taillard_blocks(text))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .instance import Instance
-from .objectives import DEFAULT_KAPPA, evaluate, schedule_prefix
+from .objectives import DEFAULT_KAPPA, Objectives, evaluate, schedule_prefix
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 
 __all__ = [
@@ -111,6 +111,7 @@ def vnd_explore(
     max_iters: int,
     rng: np.random.Generator,
     kappa: float = DEFAULT_KAPPA,
+    priced: dict[tuple[int, ...], Objectives] | None = None,
 ) -> tuple[Individual, list[Individual]]:
     """Descend from `start` and harvest the walk's trade-off discoveries.
 
@@ -130,6 +131,13 @@ def vnd_explore(
     its marks land only on discarded pool members.  Neighbours are priced
     from the incumbent's `Prefix`, rebuilt from the states the new
     incumbent shares with the old one whenever the incumbent changes.
+
+    `priced`, when given, maps permutations to their objectives: a
+    neighbour found there is not evaluated, and every other neighbour's
+    objectives are added to it.  Descents from one start can share it, so a
+    neighbour is priced once however many of them propose it.  The walk is
+    the same with or without it: `evaluate` is a pure function of the
+    permutation, and the lookup sits after the neighbours are drawn.
 
     Returns the final incumbent (the start itself or a solution dominating
     it) plus the mutually non-dominated set of every candidate evaluated
@@ -154,7 +162,15 @@ def vnd_explore(
     prefix = schedule_prefix(instance, best.perm)
     while g < max_iters:
         neighbours = NEIGHBORHOOD_OPS[a](best.perm, rng)
-        pool = [Individual(p, evaluate(instance, p, kappa, prefix)) for p in neighbours]
+        if priced is None:
+            pool = [Individual(p, evaluate(instance, p, kappa, prefix)) for p in neighbours]
+        else:
+            pool = []
+            for p in neighbours:
+                obj = priced.get(p)
+                if obj is None:
+                    obj = priced[p] = evaluate(instance, p, kappa, prefix)
+                pool.append(Individual(p, obj))
         for ind in pool:
             harvest(ind)
         pick = None

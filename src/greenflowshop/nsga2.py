@@ -7,11 +7,22 @@ their trade-off discoveries folded back in), and elitist truncation back
 to the population size.  All randomness flows from one root seed through
 per-generation child streams, so switching the descent pass on or off
 never perturbs the selection stream.
+
+Elitist selection fills the population with copies of a few front
+members, so a generation proposes the same permutations many times.  Each
+is priced once: offspring equal to a population member or an earlier
+sibling take its objectives, and descents from a start that begins more
+than one descent in a generation share one store of priced neighbours,
+kept across generations for as long as that start keeps repeating.  No
+front changes: `evaluate` is a pure function of the permutation for a
+fixed instance and `kappa`, `Objectives` is immutable, and every lookup
+comes after the random draws it could have affected.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -157,6 +168,13 @@ def _make_offspring(
     rng: np.random.Generator,
     kappa: float,
 ) -> list[Individual]:
+    """Tournament pairs, order crossover with probability `p_crossover`,
+    then swap mutation per child with probability `p_mutation`.
+
+    A child equal to a population member or to an earlier sibling takes
+    that permutation's objectives instead of being evaluated again; the
+    lookup lives for this call only and comes after every random draw.
+    """
     perms: list[tuple[int, ...]] = []
     for _ in range((config.pop_size + 1) // 2):
         pa = tournament_select(pop, rng)
@@ -168,11 +186,15 @@ def _make_offspring(
         perms.append(ca)
         perms.append(cb)
     del perms[config.pop_size :]  # odd sizes drop the spare child
+    priced = {ind.perm: ind.obj for ind in pop}
     offspring = []
     for perm in perms:
         if rng.random() < config.p_mutation:
             perm = swap_mutation(perm, rng)
-        offspring.append(Individual(perm, evaluate(instance, perm, kappa)))
+        obj = priced.get(perm)
+        if obj is None:
+            obj = priced[perm] = evaluate(instance, perm, kappa)
+        offspring.append(Individual(perm, obj))
     return offspring
 
 
@@ -183,6 +205,7 @@ def _apply_local_search(
     config: RunConfig,
     rng: np.random.Generator,
     kappa: float,
+    priced: dict[tuple[int, ...], dict],
 ) -> None:
     """Run up to `ls_front_cap` descents, rank-1 members first (largest
     crowding first within each front), spilling into deeper fronts while
@@ -192,6 +215,14 @@ def _apply_local_search(
     elitist selection.  Lower-rank starts act as perturbed restarts around
     the front, which keeps the search moving once the front's own
     neighbourhoods are exhausted.
+
+    `priced` maps a start permutation to the neighbour objectives its
+    descents have priced (`vnd_explore(priced=)`).  It is updated in place
+    to hold only the starts that begin more than one descent this round;
+    such a start keeps the store it had, so the neighbours its descents
+    priced in earlier generations are not evaluated again.  A start that
+    does not repeat gets no store, and the stores of starts that no longer
+    repeat are dropped.
     """
     candidates: list[Individual] = []
     for front in fronts:
@@ -199,10 +230,16 @@ def _apply_local_search(
         if room <= 0:
             break
         candidates.extend(sorted(front, key=lambda ind: -ind.crowding)[:room])
+    repeats = Counter(ind.perm for ind in candidates)
+    kept = {perm: priced.get(perm, {}) for perm, count in repeats.items() if count > 1}
+    priced.clear()
+    priced.update(kept)
     slot = {id(ind): k for k, ind in enumerate(pool)}
     harvested: list[Individual] = []
     for ind in candidates:
-        improved, discoveries = vnd_explore(ind, instance, LS_MAX_ITERS, rng, kappa)
+        improved, discoveries = vnd_explore(
+            ind, instance, LS_MAX_ITERS, rng, kappa, priced=priced.get(ind.perm)
+        )
         if dominates(improved.obj, ind.obj):
             pool[slot[id(ind)]] = improved
         harvested.extend(
@@ -229,6 +266,7 @@ def evolve(
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     pop = init_population(instance, config, kappa)
     rank_population(pop)
+    priced: dict[tuple[int, ...], dict] = {}  # descent stores of repeated starts
     for gen in range(1, config.generations + 1):
         var_rng = stream(config.seed, STREAM_VARIATION, gen)
         offspring = _make_offspring(instance, pop, config, var_rng, kappa)
@@ -236,7 +274,7 @@ def evolve(
         fronts = rank_population(merged)
         if config.ls_enabled:
             ls_rng = stream(config.seed, STREAM_LOCAL, gen)
-            _apply_local_search(merged, fronts, instance, config, ls_rng, kappa)
+            _apply_local_search(merged, fronts, instance, config, ls_rng, kappa, priced)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         rank_population(pop)

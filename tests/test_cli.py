@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from greenflowshop.cli import _HANDLERS, _build_parser, _config, cli
+from greenflowshop import cli as cli_module
+from greenflowshop import instance as instance_module
+from greenflowshop.cli import _HANDLERS, _build_parser, _config, _load_tasks, cli
 from greenflowshop.harness import (
     BenchTask,
     read_bench_csv,
@@ -14,6 +16,7 @@ from greenflowshop.harness import (
     write_front_csv,
 )
 from greenflowshop.instance import (
+    Instance,
     format_instance,
     generate_instance,
     load_instance,
@@ -23,6 +26,7 @@ from greenflowshop.instance import (
 from greenflowshop.nsga2 import RunConfig, evolve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
 
 def run(argv):
@@ -230,6 +234,33 @@ class TestBench:
         assert code == 0
         records = read_bench_csv(out)
         assert [r.dataset for r in records] == [1, 2]
+
+    def test_taillard_file_parsed_once_and_powers_read_once(self, tmp_path, monkeypatch):
+        block = "2 2 9 0 0\ntimes:\n3 2\n4 5\n"
+        path = tmp_path / "three.txt"
+        path.write_text("header:\n" + block * 3)
+        powers = tmp_path / "powers.txt"
+        powers.write_text("600 1200 900\n")
+        parses, reads = [], []
+        parse_blocks, read_text = instance_module.parse_taillard_blocks, Path.read_text
+
+        def counted_parse(text):
+            parses.append(text)
+            return parse_blocks(text)
+
+        def counted_read(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        # every Taillard parser of `instance` goes through its module binding
+        monkeypatch.setattr(instance_module, "parse_taillard_blocks", counted_parse)
+        monkeypatch.setattr(cli_module, "parse_taillard_blocks", counted_parse)
+        monkeypatch.setattr(Path, "read_text", counted_read)
+        tasks = _load_tasks(str(path), str(powers))
+        assert [task.dataset for task in tasks] == [1, 2, 3]
+        assert all(task.instance == TOY for task in tasks)
+        assert len(parses) == 1
+        assert reads.count(powers) == 1
 
     @pytest.mark.parametrize("text", [
         "3 1\n4\n2\n5\n900\n",

@@ -18,7 +18,7 @@ from greenflowshop.localsearch import (
     vnd_explore,
     vnd_local_search,
 )
-from greenflowshop.objectives import evaluate
+from greenflowshop.objectives import evaluate, simulate_oracle
 from greenflowshop.pareto import Individual, dominates
 from support import enumerate_front, random_instance, reference_vnd_explore
 
@@ -172,27 +172,58 @@ def descent_cases(draw):
 
 
 def _same_descent(instance, perm, max_iters, seed):
+    """Without a store, and twice with one shared store (the second run
+    prices nothing new), the descent walks as the reference does; every
+    stored entry is the permutation's true objectives."""
     start = Individual(perm, evaluate(instance, perm))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    best, archive = vnd_explore(start, instance, max_iters, rng)
+    ref_rng = np.random.default_rng(seed)
     ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
-    assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
-    assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    priced = {}
+    for store in (None, priced, priced):
+        rng = np.random.default_rng(seed)
+        best, archive = vnd_explore(start, instance, max_iters, rng, priced=store)
+        assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
+        assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for p, obj in priced.items():
+        oracle = simulate_oracle(instance, p)
+        assert obj == evaluate(instance, p)
+        assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
 
 
 class TestAgainstReference:
     """The descent must walk exactly as the always-rank, full-evaluation
     reference in `support` does: same incumbent, same archive in the same
-    order, and the generator left in the same state."""
+    order, and the generator left in the same state, with or without a
+    shared store of priced neighbours."""
 
     @given(descent_cases())
     @example((Instance.from_matrix([[4]], [800]), (0,), 15, 0))
     @example((Instance.from_matrix([[0], [3]], [800]), (1, 0), 15, 1))
     @example((Instance.from_matrix([[0, 0], [0, 0]], [800, 900]), (0, 1), 15, 2))
     @example((TOY, (0, 1), 0, 3))
+    # three jobs allow six reinsertion moves, so one pass repeats neighbours
+    @example((Instance.from_matrix([[5], [0], [3]], [800]), (2, 0, 1), 15, 4))
+    @example((Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400]),
+              (0, 1, 2), 15, 5))
     def test_matches_reference(self, case):
         _same_descent(*case)
+
+    def test_store_prices_each_neighbour_once(self, monkeypatch):
+        # at three jobs a descent proposes the same neighbour many times;
+        # with a store, only a permutation's first proposal is evaluated
+        calls = []
+        monkeypatch.setattr(localsearch, "evaluate",
+                            lambda inst, p, *a: calls.append(p) or evaluate(inst, p, *a))
+        inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
+        start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
+        for seed in range(3):
+            vnd_explore(start, inst, 15, np.random.default_rng(seed))
+        unshared, calls[:] = len(calls), []
+        priced = {}
+        for seed in range(3):
+            vnd_explore(start, inst, 15, np.random.default_rng(seed), priced=priced)
+        assert len(calls) == len(set(calls)) == len(priced) < unshared
 
     def test_matches_reference_on_random_shops(self):
         rng = random.Random(31)

@@ -1,10 +1,13 @@
 import hashlib
 import math
 import random
+from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from greenflowshop import localsearch, nsga2
 from greenflowshop.instance import (
     Instance,
     check_permutation,
@@ -293,6 +296,76 @@ class TestSeededFronts:
             "8a56209540ed09f053be9eabad6c259f54c983dde51a4b3d11c56c07d0ab0222",
             id="random-50x10-descent",
         ),
+        pytest.param(
+            # long enough for descent starts to repeat across generations
+            load_table3, RunConfig(pop_size=40, generations=30, seed=7),
+            "1eb315f59a00c43e1e3eda12700e2d507b38e4d2c1ecf1347c4d7493ee919d85",
+            id="table3-descent-long",
+        ),
     ])
     def test_front_fingerprint(self, instance, config, expected):
         assert _front_fingerprint(evolve(instance(), config)) == expected
+
+
+class TestPricedOnce:
+    """A permutation is evaluated once per generation: offspring equal to a
+    population member or an earlier sibling reuse its objectives, and
+    descents from a start that repeats share the neighbours they priced,
+    also with the previous generation's descents from that start."""
+
+    def test_no_repeat_reaches_evaluate(self, table3, monkeypatch):
+        gens = []  # one record per generation
+        starts = []  # the start of the descent under way
+        make_offspring, explore = nsga2._make_offspring, nsga2.vnd_explore
+        offspring_eval, descent_eval = nsga2.evaluate, localsearch.evaluate
+
+        def counted_offspring(instance, pop, *args):
+            gens.append(SimpleNamespace(
+                pop={m.perm for m in pop}, offspring=[], descents=Counter(),
+                stored=defaultdict(set), priced=defaultdict(list),
+            ))
+            return make_offspring(instance, pop, *args)
+
+        def counted_offspring_eval(instance, perm, *args):
+            if gens:  # init_population evaluates before the first generation
+                gens[-1].offspring.append(perm)
+            return offspring_eval(instance, perm, *args)
+
+        def counted_explore(start, *args, priced=None):
+            gens[-1].descents[start.perm] += 1
+            gens[-1].stored[start.perm].add(priced is not None)
+            starts.append(start.perm)
+            try:
+                return explore(start, *args, priced=priced)
+            finally:
+                starts.pop()
+
+        def counted_descent_eval(instance, perm, *args):
+            gens[-1].priced[starts[-1]].append(perm)
+            return descent_eval(instance, perm, *args)
+
+        monkeypatch.setattr(nsga2, "_make_offspring", counted_offspring)
+        monkeypatch.setattr(nsga2, "evaluate", counted_offspring_eval)
+        monkeypatch.setattr(nsga2, "vnd_explore", counted_explore)
+        monkeypatch.setattr(localsearch, "evaluate", counted_descent_eval)
+        evolve(table3, RunConfig(pop_size=20, generations=10, seed=7))
+
+        assert len(gens) == 10
+        repeated_starts = carried = 0
+        previous = {}
+        for gen in gens:
+            assert not gen.pop.intersection(gen.offspring)
+            assert len(set(gen.offspring)) == len(gen.offspring)
+            repeated = {perm for perm, count in gen.descents.items() if count > 1}
+            # only a start that repeats within the generation gets a store
+            for perm, stored in gen.stored.items():
+                assert stored == {perm in repeated}
+            for perm in repeated:
+                priced = gen.priced[perm]
+                assert len(set(priced)) == len(priced)
+                assert not previous.get(perm, set()).intersection(priced)
+                carried += perm in previous
+            repeated_starts += len(repeated)
+            previous = {perm: set(gen.priced[perm]) for perm in repeated}
+        # the run must exercise both sharing within and carrying across generations
+        assert repeated_starts > 0 and carried > 0
