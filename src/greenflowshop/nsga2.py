@@ -11,12 +11,12 @@ never perturbs the selection stream.
 Elitist selection fills the population with copies of a few front
 members, so a generation proposes the same permutations many times.  Each
 is priced once: offspring equal to a population member or an earlier
-sibling take its objectives, and descents from a start that begins more
-than one descent in a generation share one store of priced neighbours,
-kept across generations for as long as that start keeps repeating.  No
-front changes: `evaluate` is a pure function of the permutation for a
-fixed instance and `kappa`, `Objectives` is immutable, and every lookup
-comes after the random draws it could have affected.
+sibling take its objectives, and descents from a start that has begun
+more than one descent in each of two consecutive generations share one
+store of priced neighbours, kept for as long as that start keeps
+repeating.  No front changes: `evaluate` is a pure function of the
+permutation for a fixed instance and `kappa`, `Objectives` is immutable,
+and every lookup comes after the random draws it could have affected.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def _apply_local_search(
     config: RunConfig,
     rng: np.random.Generator,
     kappa: float,
-    priced: dict[tuple[int, ...], dict],
-) -> None:
+    stores: dict[tuple[int, ...], dict | None],
+) -> dict[tuple[int, ...], dict | None]:
     """Run up to `ls_front_cap` descents, rank-1 members first (largest
     crowding first within each front), spilling into deeper fronts while
     budget remains.  Each strict improvement replaces its start in the
@@ -216,13 +216,16 @@ def _apply_local_search(
     the front, which keeps the search moving once the front's own
     neighbourhoods are exhausted.
 
-    `priced` maps a start permutation to the neighbour objectives its
-    descents have priced (`vnd_explore(priced=)`).  It is updated in place
-    to hold only the starts that begin more than one descent this round;
-    such a start keeps the store it had, so the neighbours its descents
-    priced in earlier generations are not evaluated again.  A start that
-    does not repeat gets no store, and the stores of starts that no longer
-    repeat are dropped.
+    `stores` maps each start that began more than one descent in the
+    previous round to the neighbour objectives its descents priced there
+    (`vnd_explore(priced=)`), or to None if that was its first such round.
+    A start that repeats again keeps its store, or gets a new one, so its
+    descents share what they price and skip what its earlier descents
+    priced; the mapping for the next round is returned.  A start's first
+    repeated round is not stored: on `table3` almost every hit comes from
+    a start that keeps returning, while at 50 jobs starts rarely return
+    and a new start's neighbours are almost never proposed twice, so a
+    store there would only cost.
     """
     candidates: list[Individual] = []
     for front in fronts:
@@ -230,15 +233,15 @@ def _apply_local_search(
         if room <= 0:
             break
         candidates.extend(sorted(front, key=lambda ind: -ind.crowding)[:room])
-    repeats = Counter(ind.perm for ind in candidates)
-    kept = {perm: priced.get(perm, {}) for perm, count in repeats.items() if count > 1}
-    priced.clear()
-    priced.update(kept)
+    kept: dict[tuple[int, ...], dict | None] = {}
+    for perm, count in Counter(ind.perm for ind in candidates).items():
+        if count > 1:
+            kept[perm] = None if perm not in stores else stores[perm] or {}
     slot = {id(ind): k for k, ind in enumerate(pool)}
     harvested: list[Individual] = []
     for ind in candidates:
         improved, discoveries = vnd_explore(
-            ind, instance, LS_MAX_ITERS, rng, kappa, priced=priced.get(ind.perm)
+            ind, instance, LS_MAX_ITERS, rng, kappa, priced=kept.get(ind.perm)
         )
         if dominates(improved.obj, ind.obj):
             pool[slot[id(ind)]] = improved
@@ -247,6 +250,7 @@ def _apply_local_search(
             if found.obj != improved.obj and found.obj != ind.obj
         )
     pool.extend(harvested)
+    return kept
 
 
 def evolve(
@@ -266,7 +270,7 @@ def evolve(
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     pop = init_population(instance, config, kappa)
     rank_population(pop)
-    priced: dict[tuple[int, ...], dict] = {}  # descent stores of repeated starts
+    stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
         var_rng = stream(config.seed, STREAM_VARIATION, gen)
         offspring = _make_offspring(instance, pop, config, var_rng, kappa)
@@ -274,7 +278,7 @@ def evolve(
         fronts = rank_population(merged)
         if config.ls_enabled:
             ls_rng = stream(config.seed, STREAM_LOCAL, gen)
-            _apply_local_search(merged, fronts, instance, config, ls_rng, kappa, priced)
+            stores = _apply_local_search(merged, fronts, instance, config, ls_rng, kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         rank_population(pop)

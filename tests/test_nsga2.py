@@ -308,10 +308,11 @@ class TestSeededFronts:
 
 
 class TestPricedOnce:
-    """A permutation is evaluated once per generation: offspring equal to a
-    population member or an earlier sibling reuse its objectives, and
-    descents from a start that repeats share the neighbours they priced,
-    also with the previous generation's descents from that start."""
+    """Offspring equal to a population member or an earlier sibling reuse
+    its objectives, so a permutation reaches `evaluate` once among one
+    generation's offspring.  Descents from a start that began more than one
+    descent in the previous generation too share the neighbours they
+    priced, also with that generation's descents from the start."""
 
     def test_no_repeat_reaches_evaluate(self, table3, monkeypatch):
         gens = []  # one record per generation
@@ -351,21 +352,23 @@ class TestPricedOnce:
         evolve(table3, RunConfig(pop_size=20, generations=10, seed=7))
 
         assert len(gens) == 10
-        repeated_starts = carried = 0
-        previous = {}
+        stored_starts = carried = 0
+        previous_repeated, previous = set(), {}
         for gen in gens:
             assert not gen.pop.intersection(gen.offspring)
             assert len(set(gen.offspring)) == len(gen.offspring)
             repeated = {perm for perm, count in gen.descents.items() if count > 1}
-            # only a start that repeats within the generation gets a store
+            # a store from a start's second consecutive repeated generation on
+            returning = repeated & previous_repeated
             for perm, stored in gen.stored.items():
-                assert stored == {perm in repeated}
-            for perm in repeated:
+                assert stored == {perm in returning}
+            for perm in returning:
                 priced = gen.priced[perm]
                 assert len(set(priced)) == len(priced)
                 assert not previous.get(perm, set()).intersection(priced)
                 carried += perm in previous
-            repeated_starts += len(repeated)
-            previous = {perm: set(gen.priced[perm]) for perm in repeated}
+            stored_starts += len(returning)
+            previous_repeated = repeated
+            previous = {perm: set(gen.priced[perm]) for perm in returning}
         # the run must exercise both sharing within and carrying across generations
-        assert repeated_starts > 0 and carried > 0
+        assert stored_starts > 0 and carried > 0
