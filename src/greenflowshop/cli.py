@@ -185,11 +185,10 @@ def _cmd_tune(args) -> int:
     # the design rows set population, generations and both probabilities
     base = RunConfig(ls_enabled=args.ls == "on")
     prefix = args.out or "tuning"
+    campaign = tuning.run_design(design, instance, args.seed, base_config=base,
+                                 kappa=args.kappa)
     tables = {}
-    for response in ("flowtime", "energy"):
-        responses = tuning.run_design(
-            design, instance, args.seed, response, base_config=base, kappa=args.kappa
-        )
+    for response, responses in campaign.items():
         table = tuning.response_table(design, responses)
         tables[response] = table
         rows_path = f"{prefix}_{response}_responses.csv"

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from typing import get_type_hints
 
 from .instance import Instance
 from .nsga2 import RunConfig, evolve
-from .objectives import DEFAULT_KAPPA, evaluate
+from .objectives import DEFAULT_KAPPA
 from .pareto import Individual, fast_nondominated_sort, unique_sorted
 from .seeding import STREAM_BENCH, child_seed
 
@@ -30,7 +31,6 @@ __all__ = [
     "merge_fronts",
     "percent_diffs",
     "read_bench_csv",
-    "read_front_csv",
     "run_benchmark",
     "sequence_str",
     "write_bench_csv",
@@ -174,20 +174,11 @@ def sequence_str(perm) -> str:
     return "-".join(str(job + 1) for job in perm)
 
 
-def _parse_sequence(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) - 1 for tok in text.split("-"))
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _read_csv(path) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def _write_json(path, payload) -> None:
@@ -202,13 +193,6 @@ def write_front_csv(path, front: list[Individual]) -> None:
     _write_csv(path, ["sequence", "flowtime", "energy_whr"], (
         [sequence_str(ind.perm), ind.obj.flowtime, repr(ind.obj.energy)] for ind in front
     ))
-
-
-def read_front_csv(path) -> list[tuple[tuple[int, ...], int, float]]:
-    return [
-        (_parse_sequence(row["sequence"]), int(row["flowtime"]), float(row["energy_whr"]))
-        for row in _read_csv(path)
-    ]
 
 
 def write_front_json(path, front: list[Individual]) -> None:
@@ -231,19 +215,26 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    return [
-        BenchRecord(
-            problem=row["problem"],
-            dataset=int(row["dataset"]),
-            ft1=int(row["ft1"]),
-            ec1=float(row["ec1"]),
-            ft2=int(row["ft2"]),
-            ec2=float(row["ec2"]),
-            pct_ft=float(row["pct_ft"]),
-            pct_ec=float(row["pct_ec"]),
-        )
-        for row in _read_csv(path)
-    ]
+    """Records of a `write_bench_csv` file.  A missing column, a short row
+    or an unreadable value raises ValueError naming the file, the line and
+    the field."""
+    columns = get_type_hints(BenchRecord)  # field name -> str, int or float
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            values = {}
+            for name, parse in columns.items():
+                text = row.get(name)
+                if text is None:
+                    raise ValueError(f"{where}: missing field {name!r}")
+                try:
+                    values[name] = parse(text)
+                except ValueError:
+                    raise ValueError(f"{where}: bad {name!r} value {text!r}") from None
+            records.append(BenchRecord(**values))
+    return records
 
 
 def write_bench_json(path, records: list[BenchRecord]) -> None:
@@ -258,15 +249,3 @@ def write_aggregates_csv(path, aggregates) -> None:
         [label, f"{pct_ft:.2f}", f"{pct_ec:.2f}"] for label, pct_ft, pct_ec in aggregates
     ))
 
-
-def verify_front_csv(path, instance: Instance, kappa: float = DEFAULT_KAPPA) -> bool:
-    """Re-evaluate each printed sequence; exact flowtime match and energy
-    within 1e-6 relative."""
-    for perm, flowtime, energy in read_front_csv(path):
-        obj = evaluate(instance, perm, kappa)
-        if obj.flowtime != flowtime:
-            return False
-        scale = max(abs(energy), 1.0)
-        if abs(obj.energy - energy) > 1e-6 * scale:
-            return False
-    return True

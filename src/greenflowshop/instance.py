@@ -25,7 +25,6 @@ __all__ = [
     "generate_instance",
     "generate_taillard_times",
     "is_taillard",
-    "load_instance",
     "load_table3",
     "parse_instance",
     "parse_taillard",
@@ -405,11 +404,6 @@ def format_instance(instance: Instance) -> str:
 
 def _format_power(p: float) -> str:
     return str(int(p)) if float(p).is_integer() else repr(p)
-
-
-def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
 
 
 def save_instance(instance: Instance, path) -> None:

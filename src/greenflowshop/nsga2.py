@@ -43,7 +43,6 @@ from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, stream
 
 __all__ = [
     "RunConfig",
-    "elite_retention",
     "evolve",
     "init_population",
     "order_crossover",
@@ -53,6 +52,8 @@ __all__ = [
 
 # Iteration budget of each descent.
 LS_MAX_ITERS = 15
+# Descent calls per generation, best fronts first.
+LS_FRONT_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class RunConfig:
     p_mutation: float = 0.05
     seed: int = 0
     ls_enabled: bool = True
-    ls_front_cap: int = 200  # descent calls per generation, best fronts first
 
     def __post_init__(self):
         if self.pop_size < 2:
@@ -74,8 +74,6 @@ class RunConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if self.ls_front_cap < 1:
-            raise ValueError("ls_front_cap must be at least 1")
 
 
 def init_population(
@@ -151,16 +149,6 @@ def _select_next(fronts: FrontSet, size: int) -> list[Individual]:
     return out
 
 
-def elite_retention(
-    parents: list[Individual], offspring: list[Individual]
-) -> list[Individual]:
-    """Merge both generations, re-sort the doubled pool, and keep the best
-    members front by front until the parent population size is reached."""
-    pool = parents + offspring
-    fronts = rank_population(pool)
-    return _select_next(fronts, len(parents))
-
-
 def _make_offspring(
     instance: Instance,
     pop: list[Individual],
@@ -202,12 +190,11 @@ def _apply_local_search(
     pool: list[Individual],
     fronts: FrontSet,
     instance: Instance,
-    config: RunConfig,
     rng: np.random.Generator,
     kappa: float,
     stores: dict[tuple[int, ...], dict | None],
 ) -> dict[tuple[int, ...], dict | None]:
-    """Run up to `ls_front_cap` descents, rank-1 members first (largest
+    """Run up to `LS_FRONT_CAP` descents, rank-1 members first (largest
     crowding first within each front), spilling into deeper fronts while
     budget remains.  Each strict improvement replaces its start in the
     pool; every walk's non-dominated discoveries join the pool as extra
@@ -229,7 +216,7 @@ def _apply_local_search(
     """
     candidates: list[Individual] = []
     for front in fronts:
-        room = config.ls_front_cap - len(candidates)
+        room = LS_FRONT_CAP - len(candidates)
         if room <= 0:
             break
         candidates.extend(sorted(front, key=lambda ind: -ind.crowding)[:room])
@@ -278,7 +265,7 @@ def evolve(
         fronts = rank_population(merged)
         if config.ls_enabled:
             ls_rng = stream(config.seed, STREAM_LOCAL, gen)
-            stores = _apply_local_search(merged, fronts, instance, config, ls_rng, kappa, stores)
+            stores = _apply_local_search(merged, fronts, instance, ls_rng, kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         rank_population(pop)

@@ -2,9 +2,11 @@
 
 The design crosses generation count, population size, crossover probability
 and mutation probability at four levels each; every factor-level pair of
-any two factors appears exactly once over the 16 rows.  Analytics are the
-response table of level means with per-factor delta and rank, plus the
-smaller-is-better signal-to-noise ratio.
+any two factors appears exactly once over the 16 rows.  One campaign
+solves each row once and yields both responses, the best flowtime and the
+best energy of the row's front.  Analytics are the response table of level
+means with per-factor delta and rank, plus the smaller-is-better
+signal-to-noise ratio.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "ResponseTable",
     "TaguchiDesign",
     "build_l16",
-    "is_orthogonal",
     "pick_best_params",
     "response_table",
     "response_table_csv",
@@ -90,31 +91,19 @@ def build_l16() -> TaguchiDesign:
     return TaguchiDesign(FACTORS, dict(_LEVELS), _L16_ROWS)
 
 
-def is_orthogonal(design: TaguchiDesign) -> bool:
-    """Every ordered factor pair shows each level combination exactly once."""
-    for fa in range(len(design.factors)):
-        for fb in range(fa + 1, len(design.factors)):
-            combos = {(row[fa], row[fb]) for row in design.rows}
-            if len(combos) != len(design.rows):
-                return False
-    return True
-
-
 def run_design(
     design: TaguchiDesign,
     instance: Instance,
     seed: int,
-    response: str = "flowtime",
     base_config: RunConfig | None = None,
     kappa: float = DEFAULT_KAPPA,
-) -> list[float]:
-    """One solver run per design row; the response is the run's best value
-    of the chosen objective.  Row seeds derive from `seed`, so a rerun with
-    the same seed reproduces every response."""
-    if response not in ("flowtime", "energy"):
-        raise ValueError("response must be 'flowtime' or 'energy'")
+) -> dict[str, list[float]]:
+    """One solver run per design row, read for both responses: `flowtime`
+    lists each row front's best flowtime and `energy` its best energy.
+    Row seeds derive from `seed`, so a rerun with the same seed reproduces
+    every response."""
     base = base_config if base_config is not None else RunConfig()
-    out = []
+    out: dict[str, list[float]] = {"flowtime": [], "energy": []}
     for k, row in enumerate(design.rows):
         config = replace(
             base,
@@ -125,10 +114,8 @@ def run_design(
             seed=child_seed(seed, STREAM_TUNING, k),
         )
         front = evolve(instance, config, kappa)
-        if response == "flowtime":
-            out.append(float(min(ind.obj.flowtime for ind in front)))
-        else:
-            out.append(min(ind.obj.energy for ind in front))
+        out["flowtime"].append(float(min(ind.obj.flowtime for ind in front)))
+        out["energy"].append(min(ind.obj.energy for ind in front))
     return out
 
 

@@ -7,6 +7,7 @@ dominance check is written out long-hand.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 
@@ -104,6 +105,42 @@ def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
                 break
         g += 1
     return best, archive
+
+
+def is_orthogonal(design) -> bool:
+    """Every ordered factor pair shows each level combination exactly once."""
+    for fa in range(len(design.factors)):
+        for fb in range(fa + 1, len(design.factors)):
+            combos = {(row[fa], row[fb]) for row in design.rows}
+            if len(combos) != len(design.rows):
+                return False
+    return True
+
+
+def _parse_sequence(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) - 1 for tok in text.split("-"))
+
+
+def read_front_csv(path) -> list[tuple[tuple[int, ...], int, float]]:
+    """(0-based permutation, flowtime, energy) per row of a front file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [
+            (_parse_sequence(row["sequence"]), int(row["flowtime"]), float(row["energy_whr"]))
+            for row in csv.DictReader(fh)
+        ]
+
+
+def verify_front_csv(path, instance: Instance, kappa: float = DEFAULT_KAPPA) -> bool:
+    """Re-evaluate each printed sequence; exact flowtime match and energy
+    within 1e-6 relative."""
+    for perm, flowtime, energy in read_front_csv(path):
+        obj = evaluate(instance, perm, kappa)
+        if obj.flowtime != flowtime:
+            return False
+        scale = max(abs(energy), 1.0)
+        if abs(obj.energy - energy) > 1e-6 * scale:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

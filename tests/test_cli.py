@@ -1,17 +1,19 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from greenflowshop import cli as cli_module
 from greenflowshop import instance as instance_module
+from greenflowshop import tuning
 from greenflowshop.cli import _HANDLERS, _build_parser, _config, _load_tasks, cli
 from greenflowshop.harness import (
     BenchTask,
     read_bench_csv,
     run_benchmark,
-    verify_front_csv,
     write_bench_csv,
     write_front_csv,
 )
@@ -19,11 +21,12 @@ from greenflowshop.instance import (
     Instance,
     format_instance,
     generate_instance,
-    load_instance,
     load_table3,
+    parse_instance,
     taillard_instance,
 )
 from greenflowshop.nsga2 import RunConfig, evolve
+from support import verify_front_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -102,7 +105,7 @@ class TestGenerate:
         out = tmp_path / "inst.txt"
         assert run(["generate", "--jobs", "6", "--machines", "3",
                     "--seed", "4", "--out", str(out)]) == 0
-        inst = load_instance(out)
+        inst = parse_instance(out.read_text())
         assert inst.n_jobs == 6 and inst.n_machines == 3
         assert inst == generate_instance(6, 3, 4)
 
@@ -306,19 +309,74 @@ class TestReport:
     def test_missing_records_file(self, tmp_path):
         assert run(["report", "--records", str(tmp_path / "none.csv")]) == 2
 
+    @pytest.mark.parametrize("text,field", [
+        ("problem,dataset,ft1,ec1,ft2,ec2,pct_ft\nt,1,18,40.0,18,40.0,0.00\n", "pct_ec"),
+        ("problem,dataset,ft1,ec1,ft2,ec2,pct_ft,pct_ec\n"
+         "t,1,18,40.0,18,40.0,0.00,0.00\nt,2,18,40.0\n", "ft2"),
+        ("problem,dataset,ft1,ec1,ft2,ec2,pct_ft,pct_ec\nt,one,18,40.0,18,40.0,0.00,0.00\n",
+         "dataset"),
+    ], ids=["missing-column", "short-row", "bad-value"])
+    def test_malformed_records_file_is_contract_error(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run(["report", "--records", str(bad)]) == 3
+        err = capsys.readouterr().err
+        line = text.count("\n")
+        assert str(bad) in err and f"line {line}" in err and repr(field) in err
+
+
+# sha256 of each file a `tune` campaign on the tiny shop writes (seed 2,
+# descent off): one campaign per design row must keep these bytes.
+_TUNE_FILES = {
+    "camp_flowtime_responses.csv":
+        "a09d125a7fc307aec13dfdecd76551d6dd951834bec130697995c07187a6ed8e",
+    "camp_flowtime_table.csv":
+        "31d675f9b60ef2400859574594adc37ad328c7be04705c49f541fd5d2a5ca937",
+    "camp_energy_responses.csv":
+        "a39294f8bd9c3e57dcdac1d9508924ec64b5e3db00dc54e1b6de9eac33597266",
+    "camp_energy_table.csv":
+        "6d90152ba9bfc07202ad10d84ee9fe558349d1edf1cc3a9bbe63b1b302138fb7",
+}
+
 
 class TestTune:
-    def test_small_campaign_writes_tables(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        """One `tune` run on a 3x2 shop, counting the solver runs it makes."""
+        tmp_path = tmp_path_factory.mktemp("tune")
         inst_path = tmp_path / "tiny.txt"
         inst_path.write_text("3 2\n4 9\n7 2\n3 5\n900 1100\n")
-        prefix = tmp_path / "camp"
-        code = run(["tune", "--instance", str(inst_path), "--seed", "2",
-                    "--ls", "off", "--out", str(prefix)])
-        assert code == 0
+        solves = []
+
+        def counted_evolve(instance, config, *args):
+            solves.append(config)
+            return evolve(instance, config, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tuning, "evolve", counted_evolve)
+            code = run(["tune", "--instance", str(inst_path), "--seed", "2",
+                        "--ls", "off", "--out", str(tmp_path / "camp")])
+        return SimpleNamespace(code=code, dir=tmp_path, solves=solves)
+
+    def test_small_campaign_writes_tables(self, campaign):
+        assert campaign.code == 0
         for response in ("flowtime", "energy"):
-            rows = (tmp_path / f"camp_{response}_responses.csv").read_text().strip().splitlines()
+            rows = (campaign.dir / f"camp_{response}_responses.csv").read_text().strip().splitlines()
             assert rows[0] == "gen,pop,crossover,mutation,response"
             assert len(rows) == 17
-            table = (tmp_path / f"camp_{response}_table.csv").read_text().strip().splitlines()
+            table = (campaign.dir / f"camp_{response}_table.csv").read_text().strip().splitlines()
             assert table[0] == "level,gen,pop,crossover,mutation"
             assert len(table) == 7
+
+    def test_one_solve_per_design_row(self, campaign):
+        assert len(campaign.solves) == 16
+        rows = tuning.build_l16().rows
+        assert [(c.generations, c.pop_size, c.p_crossover, c.p_mutation)
+                for c in campaign.solves] == [tuple(row) for row in rows]
+
+    def test_output_bytes_pinned(self, campaign):
+        got = {
+            name: hashlib.sha256((campaign.dir / name).read_bytes()).hexdigest()
+            for name in _TUNE_FILES
+        }
+        assert got == _TUNE_FILES

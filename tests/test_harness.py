@@ -11,9 +11,7 @@ from greenflowshop.harness import (
     merge_fronts,
     percent_diffs,
     read_bench_csv,
-    read_front_csv,
     run_benchmark,
-    verify_front_csv,
     write_bench_csv,
     write_bench_json,
     write_front_csv,
@@ -24,7 +22,14 @@ from greenflowshop.nsga2 import RunConfig, evolve
 from greenflowshop.objectives import Objectives
 from greenflowshop.pareto import Individual, dominates
 
-from support import GROUP_PCTS, OVERALL_AVERAGES, REFERENCE_FRONT, SUMMARY_ROWS
+from support import (
+    GROUP_PCTS,
+    OVERALL_AVERAGES,
+    REFERENCE_FRONT,
+    SUMMARY_ROWS,
+    read_front_csv,
+    verify_front_csv,
+)
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -133,7 +138,7 @@ class TestRunBenchmark:
 
     def test_extremes_ordered(self, table3):
         tasks = [BenchTask("ref15x5", 1, table3)]
-        config = RunConfig(pop_size=16, generations=4, seed=1, ls_front_cap=8)
+        config = RunConfig(pop_size=16, generations=4, seed=1)
         rec = run_benchmark(tasks, config, repeats=2)[0]
         assert rec.ft1 <= rec.ft2
         assert rec.ec2 <= rec.ec1
@@ -146,8 +151,7 @@ class TestRunBenchmark:
 
 class TestFrontFiles:
     def test_csv_round_trip_reevaluates(self, tmp_path, table3):
-        front = evolve(table3, RunConfig(pop_size=12, generations=4, seed=8,
-                                         ls_front_cap=6))
+        front = evolve(table3, RunConfig(pop_size=12, generations=4, seed=8))
         path = tmp_path / "front.csv"
         write_front_csv(path, front)
         assert verify_front_csv(path, table3)

@@ -17,7 +17,7 @@ from greenflowshop.instance import (
 )
 from greenflowshop.nsga2 import (
     RunConfig,
-    elite_retention,
+    _select_next,
     evolve,
     init_population,
     order_crossover,
@@ -25,7 +25,12 @@ from greenflowshop.nsga2 import (
     tournament_select,
 )
 from greenflowshop.objectives import Objectives, evaluate
-from greenflowshop.pareto import Individual, dominates, fast_nondominated_sort
+from greenflowshop.pareto import (
+    Individual,
+    dominates,
+    fast_nondominated_sort,
+    rank_population,
+)
 from support import enumerate_front
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -59,7 +64,6 @@ class TestRunConfig:
             {"p_crossover": 1.5},
             {"p_mutation": -0.1},
             {"generations": -1},
-            {"ls_front_cap": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -163,6 +167,11 @@ class TestSwapMutation:
         assert swap_mutation((0,), np.random.default_rng(0)) == (0,)
 
 
+def elite_retention(parents, offspring):
+    """The survivor selection `evolve` runs on parents plus offspring."""
+    return _select_next(rank_population(parents + offspring), len(parents))
+
+
 class TestEliteRetention:
     def test_dominated_offspring_discarded(self):
         parents = [ind(1, 1), ind(2, 1)]
@@ -208,7 +217,7 @@ class TestEvolve:
         assert {i.obj for i in front} == expected
 
     def test_bit_level_determinism(self, table3):
-        cfg = RunConfig(pop_size=20, generations=6, seed=9, ls_front_cap=8)
+        cfg = RunConfig(pop_size=20, generations=6, seed=9)
         a = evolve(table3, cfg)
         b = evolve(table3, cfg)
         assert [(i.perm, i.obj) for i in a] == [(i.perm, i.obj) for i in b]

@@ -9,7 +9,6 @@ from greenflowshop.nsga2 import RunConfig
 from greenflowshop.tuning import (
     DesignRow,
     build_l16,
-    is_orthogonal,
     pick_best_params,
     response_table,
     response_table_csv,
@@ -17,7 +16,15 @@ from greenflowshop.tuning import (
     sn_ratio,
 )
 
-from support import EC_RANKS, EC_RESPONSES, EC_TABLE, FT_RANKS, FT_RESPONSES, FT_TABLE
+from support import (
+    EC_RANKS,
+    EC_RESPONSES,
+    EC_TABLE,
+    FT_RANKS,
+    FT_RESPONSES,
+    FT_TABLE,
+    is_orthogonal,
+)
 
 
 class TestBuildL16:
@@ -155,17 +162,9 @@ def tiny():
 class TestRunDesign:
     def test_deterministic(self, tiny):
         base = RunConfig(ls_enabled=False)
-        a = run_design(build_l16(), tiny, seed=3, response="flowtime", base_config=base)
-        b = run_design(build_l16(), tiny, seed=3, response="flowtime", base_config=base)
+        a = run_design(build_l16(), tiny, seed=3, base_config=base)
+        b = run_design(build_l16(), tiny, seed=3, base_config=base)
         assert a == b
-        assert len(a) == 16
-
-    def test_energy_mode_positive(self, tiny):
-        base = RunConfig(ls_enabled=False)
-        responses = run_design(build_l16(), tiny, seed=3, response="energy",
-                               base_config=base)
-        assert all(r >= 0 for r in responses)
-
-    def test_rejects_unknown_response(self, tiny):
-        with pytest.raises(ValueError):
-            run_design(build_l16(), tiny, seed=1, response="makespan")
+        assert len(a["flowtime"]) == 16
+        assert len(a["energy"]) == 16
+        assert all(r >= 0 for r in a["energy"])
