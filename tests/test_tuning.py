@@ -168,3 +168,9 @@ class TestRunDesign:
         assert len(a["flowtime"]) == 16
         assert len(a["energy"]) == 16
         assert all(r >= 0 for r in a["energy"])
+
+    def test_energy_mode_positive(self, tiny):
+        base = RunConfig(ls_enabled=False)
+        responses = run_design(build_l16(), tiny, seed=3, base_config=base)
+        assert len(responses["energy"]) == 16
+        assert all(r >= 0 for r in responses["energy"])
