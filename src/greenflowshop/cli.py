@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 contract violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -109,10 +110,20 @@ def _config(args) -> RunConfig:
 
 def _power_source(spec: str):
     """Machine count -> standby powers: the built-in `table9` list, or the
-    leading values of a number file, which is read here once."""
+    leading values of a number file, which is read and checked here once."""
     if spec == "table9":
         return default_powers
-    values = [float(tok) for tok in Path(spec).read_text(encoding="utf-8").split()]
+    values = []
+    for token in Path(spec).read_text(encoding="utf-8").split():
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"power file {spec}: {token!r} is not a positive finite power"
+            )
+        values.append(value)
 
     def leading(n_machines: int) -> tuple[float, ...]:
         if len(values) < n_machines:
@@ -126,13 +137,14 @@ def _power_source(spec: str):
 
 def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     """Every instance `spec` names, labelled for benchmark records: built-in
-    `table3` or the `ta20x5` set, a native file, or each block of a Taillard
-    file with powers from `powers_spec`."""
+    `table3`, a native file, or the `ta20x5` set or each block of a
+    Taillard file with powers from `powers_spec`."""
     if spec == "table3":
         return [harness.BenchTask("table3", 1, load_table3())]
     if spec == "ta20x5":
+        powers = _power_source(powers_spec)(5)
         return [
-            harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k))
+            harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k, powers))
             for k in range(1, len(TAILLARD_TIME_SEEDS[20, 5]) + 1)
         ]
     text = Path(spec).read_text(encoding="utf-8")

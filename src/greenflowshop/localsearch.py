@@ -17,6 +17,7 @@ import numpy as np
 from .instance import Instance
 from .objectives import DEFAULT_KAPPA, Objectives, evaluate, schedule_prefix
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
+from .seeding import Draws
 
 __all__ = [
     "NEIGHBORHOOD_OPS",
@@ -52,38 +53,38 @@ def insert_job(perm, src: int, dst: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
+def _distinct_pair(draws: Draws, n: int) -> tuple[int, int]:
+    i = draws.integers(n)
+    j = draws.integers(n - 1)
     if j >= i:
         j += 1
     return i, j
 
 
-def op_swap(perm, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+def op_swap(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
     """Two independent random position swaps of `perm`."""
     n = len(perm)
     if n < 2:
         return (tuple(perm), tuple(perm))
     return tuple(
-        swap_positions(perm, *_distinct_pair(rng, n)) for _ in range(2)
+        swap_positions(perm, *_distinct_pair(draws, n)) for _ in range(2)
     )
 
 
-def op_reversion(perm, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+def op_reversion(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
     """Two independent random segment reversals (segments of length >= 2)."""
     n = len(perm)
     if n < 2:
         return (tuple(perm), tuple(perm))
     out = []
     for _ in range(2):
-        start = int(rng.integers(n - 1))
-        stop = int(rng.integers(start + 2, n + 1))
+        start = draws.integers(n - 1)
+        stop = draws.integers(start + 2, n + 1)
         out.append(reverse_window(perm, start, stop))
     return tuple(out)
 
 
-def op_neighborhood(perm, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
     """Ten reinsertion neighbours; (source, destination) pairs are distinct
     whenever the permutation admits ten distinct moves."""
     n = len(perm)
@@ -91,12 +92,13 @@ def op_neighborhood(perm, rng: np.random.Generator) -> tuple[tuple[int, ...], ..
         return tuple(tuple(perm) for _ in range(10))
     total_moves = n * (n - 1)
     if total_moves >= 10:
-        picks = rng.choice(total_moves, size=10, replace=False)
+        picks = draws.choice(total_moves, 10)
     else:
-        picks = rng.integers(total_moves, size=10)
+        # the ten draws of numpy's `integers(total_moves, size=10)`
+        picks = [draws.integers(total_moves) for _ in range(10)]
     out = []
     for code in picks:
-        src, offset = divmod(int(code), n - 1)
+        src, offset = divmod(code, n - 1)
         dst = offset + 1 if offset >= src else offset
         out.append(insert_job(perm, src, dst))
     return tuple(out)
@@ -109,7 +111,7 @@ def vnd_explore(
     start: Individual,
     instance: Instance,
     max_iters: int,
-    rng: np.random.Generator,
+    draws: Draws,
     kappa: float = DEFAULT_KAPPA,
     priced: dict[tuple[int, ...], Objectives] | None = None,
 ) -> tuple[Individual, list[Individual]]:
@@ -161,7 +163,7 @@ def vnd_explore(
     g = 1
     prefix = schedule_prefix(instance, best.perm)
     while g < max_iters:
-        neighbours = NEIGHBORHOOD_OPS[a](best.perm, rng)
+        neighbours = NEIGHBORHOOD_OPS[a](best.perm, draws)
         if priced is None:
             pool = [Individual(p, evaluate(instance, p, kappa, prefix)) for p in neighbours]
         else:
@@ -203,6 +205,8 @@ def vnd_local_search(
     kappa: float = DEFAULT_KAPPA,
 ) -> Individual:
     """Descend from `start`; the result is `start` itself or a solution that
-    dominates it."""
-    best, _ = vnd_explore(start, instance, max_iters, rng, kappa)
+    dominates it.  `rng` is left where numpy's own draws would leave it."""
+    draws = Draws(rng)
+    best, _ = vnd_explore(start, instance, max_iters, draws, kappa)
+    draws.sync()
     return best

@@ -6,7 +6,9 @@ budgeted round of descents over the merged pool (best fronts first, with
 their trade-off discoveries folded back in), and elitist truncation back
 to the population size.  All randomness flows from one root seed through
 per-generation child streams, so switching the descent pass on or off
-never perturbs the selection stream.
+never perturbs the selection stream.  Variation and descent draw through
+one `seeding.Draws` per stream and generation, which replays numpy's
+`Generator` draws from the stream's raw words.
 
 Elitist selection fills the population with copies of a few front
 members, so a generation proposes the same permutations many times.  Each
@@ -26,8 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .instance import Instance
 from .localsearch import _distinct_pair, swap_positions, vnd_explore
 from .objectives import DEFAULT_KAPPA, evaluate
@@ -39,7 +39,7 @@ from .pareto import (
     rank_population,
     unique_sorted,
 )
-from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, stream
+from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws, stream
 
 __all__ = [
     "RunConfig",
@@ -88,16 +88,16 @@ def init_population(
     return pop
 
 
-def tournament_select(pop: list[Individual], rng: np.random.Generator) -> Individual:
+def tournament_select(pop: list[Individual], draws: Draws) -> Individual:
     """Binary tournament: two distinct members, crowded-comparison winner
     (first draw kept on a full tie)."""
-    i, j = rng.choice(len(pop), size=2, replace=False)
-    a, b = pop[int(i)], pop[int(j)]
+    i, j = draws.choice(len(pop), 2)
+    a, b = pop[i], pop[j]
     return a if crowded_compare(a, b) <= 0 else b
 
 
 def order_crossover(
-    parent_a, parent_b, rng: np.random.Generator
+    parent_a, parent_b, draws: Draws
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Order crossover: each child keeps a cut segment of one parent and is
     refilled with the other parent's jobs in their order, scanning
@@ -105,7 +105,7 @@ def order_crossover(
     n = len(parent_a)
     if len(parent_b) != n:
         raise ValueError("parents must have equal length")
-    lo, hi = sorted(int(x) for x in rng.choice(n + 1, size=2, replace=False))
+    lo, hi = sorted(draws.choice(n + 1, 2))
     return (
         _ox_child(parent_a, parent_b, lo, hi),
         _ox_child(parent_b, parent_a, lo, hi),
@@ -127,11 +127,11 @@ def _ox_child(keeper, donor, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(child)
 
 
-def swap_mutation(perm, rng: np.random.Generator) -> tuple[int, ...]:
+def swap_mutation(perm, draws: Draws) -> tuple[int, ...]:
     """Exchange two distinct random positions; identity below length 2."""
     if len(perm) < 2:
         return tuple(perm)
-    return swap_positions(perm, *_distinct_pair(rng, len(perm)))
+    return swap_positions(perm, *_distinct_pair(draws, len(perm)))
 
 
 def _select_next(fronts: FrontSet, size: int) -> list[Individual]:
@@ -153,7 +153,7 @@ def _make_offspring(
     instance: Instance,
     pop: list[Individual],
     config: RunConfig,
-    rng: np.random.Generator,
+    draws: Draws,
     kappa: float,
 ) -> list[Individual]:
     """Tournament pairs, order crossover with probability `p_crossover`,
@@ -165,10 +165,10 @@ def _make_offspring(
     """
     perms: list[tuple[int, ...]] = []
     for _ in range((config.pop_size + 1) // 2):
-        pa = tournament_select(pop, rng)
-        pb = tournament_select(pop, rng)
-        if rng.random() < config.p_crossover:
-            ca, cb = order_crossover(pa.perm, pb.perm, rng)
+        pa = tournament_select(pop, draws)
+        pb = tournament_select(pop, draws)
+        if draws.random() < config.p_crossover:
+            ca, cb = order_crossover(pa.perm, pb.perm, draws)
         else:
             ca, cb = pa.perm, pb.perm
         perms.append(ca)
@@ -177,8 +177,8 @@ def _make_offspring(
     priced = {ind.perm: ind.obj for ind in pop}
     offspring = []
     for perm in perms:
-        if rng.random() < config.p_mutation:
-            perm = swap_mutation(perm, rng)
+        if draws.random() < config.p_mutation:
+            perm = swap_mutation(perm, draws)
         obj = priced.get(perm)
         if obj is None:
             obj = priced[perm] = evaluate(instance, perm, kappa)
@@ -190,7 +190,7 @@ def _apply_local_search(
     pool: list[Individual],
     fronts: FrontSet,
     instance: Instance,
-    rng: np.random.Generator,
+    draws: Draws,
     kappa: float,
     stores: dict[tuple[int, ...], dict | None],
 ) -> dict[tuple[int, ...], dict | None]:
@@ -228,7 +228,7 @@ def _apply_local_search(
     harvested: list[Individual] = []
     for ind in candidates:
         improved, discoveries = vnd_explore(
-            ind, instance, LS_MAX_ITERS, rng, kappa, priced=kept.get(ind.perm)
+            ind, instance, LS_MAX_ITERS, draws, kappa, priced=kept.get(ind.perm)
         )
         if dominates(improved.obj, ind.obj):
             pool[slot[id(ind)]] = improved
@@ -259,13 +259,13 @@ def evolve(
     rank_population(pop)
     stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
-        var_rng = stream(config.seed, STREAM_VARIATION, gen)
-        offspring = _make_offspring(instance, pop, config, var_rng, kappa)
+        var_draws = Draws(stream(config.seed, STREAM_VARIATION, gen))
+        offspring = _make_offspring(instance, pop, config, var_draws, kappa)
         merged = pop + offspring
         fronts = rank_population(merged)
         if config.ls_enabled:
-            ls_rng = stream(config.seed, STREAM_LOCAL, gen)
-            stores = _apply_local_search(merged, fronts, instance, ls_rng, kappa, stores)
+            ls_draws = Draws(stream(config.seed, STREAM_LOCAL, gen))
+            stores = _apply_local_search(merged, fronts, instance, ls_draws, kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         rank_population(pop)

@@ -1,18 +1,30 @@
 """Seed derivation: every random stream and every per-run seed comes from a
 root seed, taken modulo 2^64, and a spawn key whose first entry names the
-use, so distinct uses never share a stream."""
+use, so distinct uses never share a stream.
+
+The solver's variation and descent draw through `Draws`, which replays
+numpy's `Generator` algorithms in Python from the generator's raw PCG64
+words: one numpy call per chunk of words instead of one per draw.
+numpy's RNG policy (NEP 19) keeps the raw stream of a seeded bit
+generator stable, but not the `Generator` methods' algorithms, so those
+draws now depend on `SeedSequence` and the raw stream only.  The initial
+population's shuffles and instance generation still call `Generator`
+methods.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["STREAM_BENCH", "STREAM_INIT", "STREAM_LOCAL", "STREAM_TUNING",
-           "STREAM_VARIATION", "child_seed", "stream"]
+           "STREAM_VARIATION", "Draws", "child_seed", "stream"]
 
 # First spawn-key entry of each use: the initial population, one
 # generation's variation and descent, one tuning design row and one
 # benchmark repeat.
 STREAM_INIT, STREAM_VARIATION, STREAM_LOCAL, STREAM_TUNING, STREAM_BENCH = range(5)
+
+_CHUNK = 512  # raw words pulled per numpy call
 
 
 def _sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
@@ -28,3 +40,116 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def child_seed(seed: int, *key: int) -> int:
     """A 32-bit root seed for the independent run that `key` names."""
     return int(_sequence(seed, key).generate_state(1)[0])
+
+
+class Draws:
+    """The draws of a PCG64 `Generator`, replayed from its raw words.
+
+    `integers`, `random` and `choice` return what the `Generator` methods
+    of the same names return for bounds up to 2^32, and consume the same
+    raw words.  Bounded integers use Lemire's multiply-and-reject method
+    on 32-bit half-words (Lemire, ACM TOMACS 2019); PCG64 hands out a
+    word's low half first and caches its high half for the next 32-bit
+    draw, while `random` takes a whole word.  Sampling without
+    replacement is Floyd's algorithm (Bentley & Floyd, CACM 1987)
+    followed by a Fisher-Yates shuffle, which is what numpy does for
+    samples of up to 200; larger ones are not replayed.
+
+    Words are pulled ahead in chunks, so the generator runs ahead of the
+    draws; `sync` puts it where numpy's own calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        self._start = self._bits.state
+        # `_half` holds the pulled raw words split into 32-bit halves, low
+        # half first, and `_at` indexes the next 32-bit draw.  An odd `_at`
+        # points at the high half PCG64 has cached; for an even one,
+        # `_half[_at - 1]` is the last half it cached, which its state
+        # keeps (`uinteger`).  The first word stands in for the word that
+        # half came from, drawn before this object was made.
+        self._half = [0, self._start["uinteger"]]
+        self._at = 2 - self._start["has_uint32"]
+        self._word0 = -1  # raw word index of `_half[0]`
+
+    def _pull(self) -> None:
+        keep = (self._at - 1) & ~1  # the word of `_at - 1`, or of `_at`
+        raw = self._bits.random_raw(_CHUNK).astype("<u8", copy=False)
+        self._half = self._half[keep:] + raw.view("<u4").tolist()
+        self._at -= keep
+        self._word0 += keep >> 1
+
+    def _below(self, bounds) -> list[int]:
+        """One draw on [0, b) for each bound 1 < b <= 2^32 in `bounds`."""
+        if self._at + len(bounds) > len(self._half):
+            self._pull()
+        half, at = self._half, self._at
+        out: list[int] = []
+        for b in bounds:
+            m = half[at] * b
+            at += 1
+            while m & 0xFFFFFFFF < b and m & 0xFFFFFFFF < (1 << 32) % b:
+                # rejected: redraw from the next half-word
+                if at + len(bounds) - len(out) > len(half):
+                    self._at = at
+                    self._pull()
+                    half, at = self._half, self._at
+                m = half[at] * b
+                at += 1
+            out.append(m >> 32)
+        self._at = at
+        return out
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """`Generator.integers(low, high)` or `integers(low)` as an int."""
+        if high is None:
+            low, high = 0, low
+        if high - low == 1:
+            return low  # numpy draws nothing for a single value
+        if not 1 < high - low <= 1 << 32:
+            raise ValueError(f"cannot draw from [{low}, {high})")
+        return low + self._below((high - low,))[0]
+
+    def random(self) -> float:
+        """`Generator.random()`: the top 53 bits of one whole raw word."""
+        if self._at + 2 >= len(self._half):
+            self._pull()
+        at, half = self._at, self._half
+        if at & 1:
+            # a cached high half stays cached: the word after its own is
+            # drawn, and the cached value moves to that word's high slot
+            low, high, half[at + 2] = half[at + 1], half[at + 2], half[at]
+        else:
+            low, high, half[at + 1] = half[at], half[at + 1], half[at - 1]
+        self._at = at + 2
+        return ((high << 21) | (low >> 11)) * 2.0**-53
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """`Generator.choice(n, k, replace=False)` as a list of ints."""
+        if not 0 <= k <= min(n, 200):
+            raise ValueError(f"cannot draw {k} of {n} without replacement")
+        if k == 2 and n > 2:  # the tournaments' and the crossover's draw
+            i, j, swap = self._below((n - 1, n, 2))
+            if j == i:
+                j = n - 1
+            return [j, i] if swap == 0 else [i, j]
+        # numpy skips Floyd's first draw when its range [0, n - k] is {0}
+        first = max(n - k, 1)
+        draws = self._below([*range(first + 1, n + 1), *range(k, 1, -1)])
+        picks = [0] * (first - n + k)
+        for top, pick in zip(range(first, n), draws):
+            picks.append(top if pick in picks else pick)
+        for i, j in zip(range(k - 1, 0, -1), draws[n - first:]):
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def sync(self) -> None:
+        """Leave the generator exactly where numpy's own calls would."""
+        at = self._at
+        bits = self._bits
+        bits.state = self._start
+        bits.advance(self._word0 + (at + 1) // 2)
+        state = bits.state
+        state["has_uint32"] = at & 1
+        state["uinteger"] = self._half[at if at & 1 else at - 1]
+        bits.state = state

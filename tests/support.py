@@ -12,7 +12,7 @@ import itertools
 import random
 
 from greenflowshop.instance import Instance
-from greenflowshop.localsearch import NEIGHBORHOOD_OPS
+from greenflowshop.localsearch import insert_job, reverse_window, swap_positions
 from greenflowshop.objectives import DEFAULT_KAPPA, evaluate
 from greenflowshop.pareto import (
     Individual,
@@ -64,10 +64,57 @@ def enumerate_front(instance: Instance, kappa: float = 1.0 / 60.0):
     return objs, front
 
 
+def _numpy_pair(rng, n):
+    i = int(rng.integers(n))
+    j = int(rng.integers(n - 1))
+    return i, j + (j >= i)
+
+
+def numpy_op_swap(perm, rng):
+    n = len(perm)
+    if n < 2:
+        return (tuple(perm), tuple(perm))
+    return tuple(swap_positions(perm, *_numpy_pair(rng, n)) for _ in range(2))
+
+
+def numpy_op_reversion(perm, rng):
+    n = len(perm)
+    if n < 2:
+        return (tuple(perm), tuple(perm))
+    out = []
+    for _ in range(2):
+        start = int(rng.integers(n - 1))
+        stop = int(rng.integers(start + 2, n + 1))
+        out.append(reverse_window(perm, start, stop))
+    return tuple(out)
+
+
+def numpy_op_neighborhood(perm, rng):
+    n = len(perm)
+    if n < 2:
+        return tuple(tuple(perm) for _ in range(10))
+    total_moves = n * (n - 1)
+    if total_moves >= 10:
+        picks = rng.choice(total_moves, size=10, replace=False)
+    else:
+        picks = rng.integers(total_moves, size=10)
+    out = []
+    for code in picks:
+        src, offset = divmod(int(code), n - 1)
+        dst = offset + 1 if offset >= src else offset
+        out.append(insert_job(perm, src, dst))
+    return tuple(out)
+
+
+# The three neighbourhoods drawing through numpy's own `Generator` methods.
+NUMPY_NEIGHBORHOOD_OPS = (numpy_op_swap, numpy_op_reversion, numpy_op_neighborhood)
+
+
 def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
     """The descent as first written: every neighbour gets a full `evaluate`,
-    and every pass ranks its pool and picks the most crowded rank-1 member,
-    whether or not any neighbour dominates the incumbent."""
+    every pass ranks its pool and picks the most crowded rank-1 member,
+    whether or not any neighbour dominates the incumbent, and the
+    neighbours are drawn by numpy's `Generator` methods on `rng`."""
     best = start.copy()
     archive = [best.copy()]
 
@@ -83,7 +130,7 @@ def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
     failures = 0
     g = 1
     while g < max_iters:
-        neighbours = NEIGHBORHOOD_OPS[a](best.perm, rng)
+        neighbours = NUMPY_NEIGHBORHOOD_OPS[a](best.perm, rng)
         pool = [Individual(p, evaluate(instance, p, kappa)) for p in neighbours]
         for ind in pool:
             harvest(ind)

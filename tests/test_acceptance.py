@@ -20,6 +20,7 @@ from greenflowshop.localsearch import (
 from greenflowshop.nsga2 import RunConfig, evolve, order_crossover, swap_mutation
 from greenflowshop.objectives import Objectives, evaluate, simulate_oracle
 from greenflowshop.pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
+from greenflowshop.seeding import Draws
 from greenflowshop.tuning import build_l16, response_table
 from support import (
     EC_RANKS,
@@ -192,6 +193,7 @@ def test_criterion_7_benchmark_properties():
 
 def test_criterion_8_property_suites():
     rng = np.random.default_rng(2024)
+    draws = Draws(rng)  # the operators draw as the solver does
     py = random.Random(2024)
 
     def is_perm(p, n):
@@ -202,26 +204,27 @@ def test_criterion_8_property_suites():
         n = py.randint(2, 10)
         pa = tuple(py.sample(range(n), n))
         pb = tuple(py.sample(range(n), n))
-        ca, cb = order_crossover(pa, pb, rng)
+        ca, cb = order_crossover(pa, pb, draws)
         assert is_perm(ca, n) and is_perm(cb, n)
         applications += 2
     for _ in range(20000):
         n = py.randint(2, 10)
         p = tuple(py.sample(range(n), n))
-        assert is_perm(swap_mutation(p, rng), n)
+        assert is_perm(swap_mutation(p, draws), n)
         applications += 1
     base = tuple(range(9))
     for _ in range(10000):
-        for out in op_swap(base, rng):
+        for out in op_swap(base, draws):
             assert is_perm(out, 9)
-        for out in op_reversion(base, rng):
+        for out in op_reversion(base, draws):
             assert is_perm(out, 9)
         applications += 4
     for _ in range(1000):
-        for out in op_neighborhood(base, rng):
+        for out in op_neighborhood(base, draws):
             assert is_perm(out, 9)
         applications += 10
 
+    draws.sync()  # `vnd_local_search` draws from the generator itself
     vnd_checked = 0
     for _ in range(1000):
         inst = random_instance(py, 3, py.randint(1, 3))

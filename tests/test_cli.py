@@ -170,6 +170,35 @@ class TestSolve:
         assert run(["solve", "--instance", str(path), "--powers", str(powers),
                     "--pop", "4", "--gen", "2", "--seed", "1"]) == 3
 
+    @pytest.mark.parametrize("text", ["abc 800", "600 nan", "0 600", "-5 600", "600 inf"])
+    def test_bad_power_names_file_and_value(self, tmp_path, capsys, text):
+        path = tmp_path / "tai.txt"
+        path.write_text("2 2 9 0 0\ntimes:\n3 2\n4 5\n")
+        powers = tmp_path / "pw.txt"
+        powers.write_text(text + "\n")
+        assert run(["solve", "--instance", str(path), "--powers", str(powers),
+                    "--pop", "4", "--gen", "1"]) == 3
+        err = capsys.readouterr().err
+        bad = next(tok for tok in text.split() if tok != "600")
+        assert str(powers) in err and repr(bad) in err
+
+    def test_builtin_set_takes_powers_from_file(self, tmp_path):
+        powers = tmp_path / "pw.txt"
+        powers.write_text("1 20 300 4000 50000\n")
+        out = tmp_path / "front.csv"
+        code = run(["solve", "--instance", "ta20x5", "--powers", str(powers), "--pop", "4",
+                    "--gen", "1", "--ls", "off", "--out", str(out)])
+        assert code == 0
+        assert verify_front_csv(out, taillard_instance(20, 5, 1, (1, 20, 300, 4000, 50000)))
+
+    def test_builtin_set_rejects_bad_power_file(self, tmp_path, capsys):
+        powers = tmp_path / "pw.txt"
+        powers.write_text("600 abc\n")
+        assert run(["bench", "ta20x5", "--powers", str(powers), "--pop", "4", "--gen", "1",
+                    "--runs", "1", "--out", str(tmp_path / "bench.csv")]) == 3
+        assert str(powers) in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_index_picks_from_builtin_set(self, tmp_path):
         out = tmp_path / "front.csv"
         code = run(["solve", "--instance", "ta20x5", "--index", "3", "--pop", "4",

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -20,7 +21,13 @@ from greenflowshop.localsearch import (
 )
 from greenflowshop.objectives import evaluate, simulate_oracle
 from greenflowshop.pareto import Individual, dominates
-from support import enumerate_front, random_instance, reference_vnd_explore
+from greenflowshop.seeding import Draws
+from support import (
+    NUMPY_NEIGHBORHOOD_OPS,
+    enumerate_front,
+    random_instance,
+    reference_vnd_explore,
+)
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -43,31 +50,31 @@ class TestPrimitives:
 
 class TestOperators:
     def test_swap_returns_two(self):
-        out = op_swap((0, 1, 2, 3), np.random.default_rng(0))
+        out = op_swap((0, 1, 2, 3), Draws(np.random.default_rng(0)))
         assert len(out) == 2
         for p in out:
             assert sorted(p) == [0, 1, 2, 3]
 
     def test_reversion_returns_two(self):
-        out = op_reversion((0, 1, 2, 3, 4), np.random.default_rng(0))
+        out = op_reversion((0, 1, 2, 3, 4), Draws(np.random.default_rng(0)))
         assert len(out) == 2
         for p in out:
             assert sorted(p) == [0, 1, 2, 3, 4]
 
     def test_neighborhood_returns_ten(self):
-        out = op_neighborhood((0, 1, 2), np.random.default_rng(0))
+        out = op_neighborhood((0, 1, 2), Draws(np.random.default_rng(0)))
         assert len(out) == 10
         for p in out:
             assert sorted(p) == [0, 1, 2]
 
     def test_single_job_degenerate(self):
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         assert op_swap((0,), rng) == ((0,), (0,))
         assert op_reversion((0,), rng) == ((0,), (0,))
         assert op_neighborhood((0,), rng) == tuple((0,) for _ in range(10))
 
     def test_closure_over_many_applications(self):
-        rng = np.random.default_rng(42)
+        rng = Draws(np.random.default_rng(42))
         base = tuple(range(8))
         for _ in range(500):
             for op in NEIGHBORHOOD_OPS:
@@ -75,15 +82,29 @@ class TestOperators:
                     assert sorted(out) == list(range(8))
 
     def test_swap_changes_exactly_two_positions(self):
-        rng = np.random.default_rng(1)
+        rng = Draws(np.random.default_rng(1))
         base = tuple(range(6))
         for _ in range(50):
             for out in op_swap(base, rng):
                 assert sum(a != b for a, b in zip(base, out)) == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 20, 50])
+    def test_replayed_draws_match_numpy(self, n):
+        # each operator proposes what its numpy-drawing copy in `support`
+        # proposes, and leaves the generator in the same state
+        py = random.Random(n)
+        live, twin = np.random.default_rng(n), np.random.default_rng(n)
+        draws = Draws(twin)
+        for _ in range(300):
+            perm = tuple(py.sample(range(n), n))
+            a = py.randrange(3)
+            assert NEIGHBORHOOD_OPS[a](perm, draws) == NUMPY_NEIGHBORHOOD_OPS[a](perm, live)
+        draws.sync()
+        assert twin.bit_generator.state == live.bit_generator.state
+
     def test_neighborhood_moves_distinct_when_possible(self):
         # 4 jobs allow 12 distinct (src, dst) moves, so the ten picks differ
-        rng = np.random.default_rng(3)
+        rng = Draws(np.random.default_rng(3))
         base = (0, 1, 2, 3)
         for _ in range(20):
             out = op_neighborhood(base, rng)
@@ -141,12 +162,13 @@ class TestVnd:
         inst = random_instance(rng_py, 4, 3)
         _, front = enumerate_front(inst)
         for perm, obj in front.items():
-            vnd_explore(Individual(perm, obj), inst, 15, np.random.default_rng(11))
+            vnd_explore(Individual(perm, obj), inst, 15,
+                        Draws(np.random.default_rng(11)))
         assert sorts == []
 
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)
-        rng = np.random.default_rng(10)
+        rng = Draws(np.random.default_rng(10))
         inst = random_instance(rng_py, 5, 3)
         perm = tuple(rng_py.sample(range(5), 5))
         start = Individual(perm, evaluate(inst, perm))
@@ -173,15 +195,18 @@ def descent_cases(draw):
 
 def _same_descent(instance, perm, max_iters, seed):
     """Without a store, and twice with one shared store (the second run
-    prices nothing new), the descent walks as the reference does; every
-    stored entry is the permutation's true objectives."""
+    prices nothing new), the descent walks as the reference does, and
+    after `sync` its generator is where the reference's numpy draws left
+    theirs; every stored entry is the permutation's true objectives."""
     start = Individual(perm, evaluate(instance, perm))
     ref_rng = np.random.default_rng(seed)
     ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
     priced = {}
     for store in (None, priced, priced):
         rng = np.random.default_rng(seed)
-        best, archive = vnd_explore(start, instance, max_iters, rng, priced=store)
+        draws = Draws(rng)
+        best, archive = vnd_explore(start, instance, max_iters, draws, priced=store)
+        draws.sync()
         assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
         assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -193,9 +218,9 @@ def _same_descent(instance, perm, max_iters, seed):
 
 class TestAgainstReference:
     """The descent must walk exactly as the always-rank, full-evaluation
-    reference in `support` does: same incumbent, same archive in the same
-    order, and the generator left in the same state, with or without a
-    shared store of priced neighbours."""
+    reference in `support` does with numpy's own draws: same incumbent,
+    same archive in the same order, and the generator left in the same
+    state, with or without a shared store of priced neighbours."""
 
     @given(descent_cases())
     @example((Instance.from_matrix([[4]], [800]), (0,), 15, 0))
@@ -218,11 +243,11 @@ class TestAgainstReference:
         inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
         start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
         for seed in range(3):
-            vnd_explore(start, inst, 15, np.random.default_rng(seed))
+            vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)))
         unshared, calls[:] = len(calls), []
         priced = {}
         for seed in range(3):
-            vnd_explore(start, inst, 15, np.random.default_rng(seed), priced=priced)
+            vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)), priced=priced)
         assert len(calls) == len(set(calls)) == len(priced) < unshared
 
     def test_matches_reference_on_random_shops(self):

@@ -31,6 +31,7 @@ from greenflowshop.pareto import (
     fast_nondominated_sort,
     rank_population,
 )
+from greenflowshop.seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
 from support import enumerate_front
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -41,12 +42,12 @@ def ind(ft, ec, perm=(0, 1)):
 
 
 class _FixedCuts:
-    """rng stand-in handing out scripted crossover cut points."""
+    """`Draws` stand-in handing out scripted crossover cut points."""
 
     def __init__(self, lo, hi):
         self.pair = (lo, hi)
 
-    def choice(self, n, size, replace):
+    def choice(self, n, k):
         return list(self.pair)
 
 
@@ -97,7 +98,7 @@ class TestTournament:
         a.rank, b.rank = 1, 2
         a.crowding = b.crowding = 1.0
         pop = [a, b]
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         for _ in range(10):
             assert tournament_select(pop, rng) is a
 
@@ -106,7 +107,7 @@ class TestTournament:
         a.rank = b.rank = 1
         a.crowding, b.crowding = math.inf, 4.0
         pop = [a, b]
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         for _ in range(10):
             assert tournament_select(pop, rng) is a
 
@@ -115,21 +116,21 @@ class TestTournament:
         a.rank = b.rank = 1
         a.crowding = b.crowding = 1.0
         pop = [a, b]
-        rng = np.random.default_rng(1)
+        rng = Draws(np.random.default_rng(1))
         for _ in range(20):
             assert tournament_select(pop, rng) in pop
 
 
 class TestOrderCrossover:
     def test_identical_parents_fixed_point(self):
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         p = (3, 1, 4, 0, 2)
         for _ in range(20):
             ca, cb = order_crossover(p, p, rng)
             assert ca == p and cb == p
 
     def test_closure(self):
-        rng = np.random.default_rng(7)
+        rng = Draws(np.random.default_rng(7))
         py = random.Random(7)
         for _ in range(200):
             n = py.randint(2, 9)
@@ -151,12 +152,12 @@ class TestOrderCrossover:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            order_crossover((0, 1), (0, 1, 2), np.random.default_rng(0))
+            order_crossover((0, 1), (0, 1, 2), Draws(np.random.default_rng(0)))
 
 
 class TestSwapMutation:
     def test_preserves_jobs(self):
-        rng = np.random.default_rng(0)
+        rng = Draws(np.random.default_rng(0))
         base = tuple(range(7))
         for _ in range(100):
             out = swap_mutation(base, rng)
@@ -164,7 +165,7 @@ class TestSwapMutation:
             assert sum(a != b for a, b in zip(base, out)) == 2
 
     def test_single_job_identity(self):
-        assert swap_mutation((0,), np.random.default_rng(0)) == (0,)
+        assert swap_mutation((0,), Draws(np.random.default_rng(0))) == (0,)
 
 
 def elite_retention(parents, offspring):
@@ -314,6 +315,31 @@ class TestSeededFronts:
     ])
     def test_front_fingerprint(self, instance, config, expected):
         assert _front_fingerprint(evolve(instance(), config)) == expected
+
+
+class _RawStreamOnly:
+    """A generator stand-in with the raw bit stream only, plus `permutation`
+    on the initial population's stream."""
+
+    def __init__(self, rng, key):
+        self.bit_generator = rng.bit_generator
+        if key[0] == STREAM_INIT:
+            self.permutation = rng.permutation
+
+
+class TestRawStreamOnly:
+    def test_variation_and_descent_call_no_generator_method(self, table3, monkeypatch):
+        made = Counter()
+        stream = nsga2.stream
+
+        def raw_stream_only(seed, *key):
+            made[key[0]] += 1
+            return _RawStreamOnly(stream(seed, *key), key)
+
+        monkeypatch.setattr(nsga2, "stream", raw_stream_only)
+        front = evolve(table3, RunConfig())
+        assert front
+        assert made == {STREAM_INIT: 1, STREAM_VARIATION: 50, STREAM_LOCAL: 50}
 
 
 class TestPricedOnce:

@@ -1,0 +1,131 @@
+"""`Draws` against live numpy: every replayed draw equals the `Generator`
+call it stands for, and after `sync` the generator is where those calls
+would have left it."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from greenflowshop.seeding import Draws, child_seed, stream
+
+# The bounds the solver draws under: jobs at table3 and 20x5 sizes,
+# population sizes, reinsertion move counts (15*14, 50*49, and the 2 and
+# 6 of shops with fewer than ten moves); then bounds near 2^32, where
+# Lemire's rejection is frequent or the 32-bit draw is taken whole.
+SOLVER_BOUNDS = [1, 2, 3, 6, 14, 15, 16, 20, 21, 200, 210, 2450]
+WIDE_BOUNDS = [2**31 + 1, 3 * 2**30, 2**32 - 2, 2**32 - 1, 2**32]
+bounds = st.sampled_from(SOLVER_BOUNDS + WIDE_BOUNDS) | st.integers(1, 2**32)
+
+# One call as (method, arguments); `integers_array` is numpy's
+# `integers(n, size=10)`, which `op_neighborhood` replays as ten scalar draws.
+calls = st.one_of(
+    st.tuples(st.just("integers"), st.tuples(bounds)),
+    st.tuples(st.just("integers"), st.integers(0, 60).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, lo + 40)))),
+    st.tuples(st.just("random"), st.just(())),
+    st.tuples(st.just("choice"), st.sampled_from(SOLVER_BOUNDS + [3 * 2**30]).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, min(n, 12))))),
+    st.tuples(st.just("integers_array"), st.tuples(st.sampled_from([1, 2, 3, 6, 9]))),
+)
+
+
+def live_call(rng, method, args):
+    if method == "integers":
+        return int(rng.integers(*args))
+    if method == "random":
+        return float(rng.random())
+    if method == "choice":
+        return [int(x) for x in rng.choice(args[0], args[1], replace=False)]
+    return [int(x) for x in rng.integers(args[0], size=10)]
+
+
+def replayed_call(draws, method, args):
+    if method == "integers_array":
+        return [draws.integers(args[0]) for _ in range(10)]
+    return getattr(draws, method)(*args)
+
+
+def assert_replays(seed, cached, sequence):
+    """Run `sequence` on a live generator and through `Draws` on a twin;
+    with `cached`, both first draw one 32-bit value, which leaves a
+    half-word in PCG64's cache when `Draws` starts."""
+    live, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if cached:
+        live.integers(7)
+        twin.integers(7)
+    draws = Draws(twin)
+    for method, args in sequence:
+        assert replayed_call(draws, method, args) == live_call(live, method, args), method
+    draws.sync()
+    assert twin.bit_generator.state == live.bit_generator.state
+    assert twin.permutation(20).tolist() == live.permutation(20).tolist()
+
+
+class TestAgainstNumpy:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.lists(calls, max_size=40))
+    @example(0, False, [])
+    @example(1, True, [])
+    @example(2, True, [("random", ()), ("integers", (20,)), ("random", ())])
+    @example(3, False, [("integers", (20,)), ("random", ()), ("integers", (1,))])
+    @example(4, True, [("choice", (3, 3)), ("choice", (1, 1)), ("choice", (5, 0))])
+    def test_mixed_calls(self, seed, cached, sequence):
+        assert_replays(seed, cached, sequence)
+
+    @pytest.mark.parametrize("n", SOLVER_BOUNDS + WIDE_BOUNDS)
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_integers_bound(self, n, cached):
+        assert_replays(n, cached, [("integers", (n,))] * 50)
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (16, 2), (21, 2), (200, 2),
+                                      (210, 10), (2450, 10), (6, 6), (12, 10),
+                                      (3 * 2**30, 10), (10001, 200)])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_choice(self, n, k, cached):
+        assert_replays(n + k, cached, [("choice", (n, k))] * 20)
+
+    def test_long_runs_cross_chunk_boundaries(self):
+        py = random.Random(17)
+        menu = [("integers", (20,)), ("integers", (3, 15)), ("random", ()),
+                ("choice", (200, 2)), ("choice", (210, 10)), ("integers_array", (6,)),
+                ("integers", (2**32,)), ("integers", (3 * 2**30,))]
+        for seed in range(4):
+            assert_replays(seed, seed % 2 == 1, [py.choice(menu) for _ in range(3000)])
+
+    def test_sync_twice_and_on_seeded_streams(self):
+        live, twin = stream(5, 1, 2), stream(5, 1, 2)
+        draws = Draws(twin)
+        draws.sync()
+        assert twin.bit_generator.state == live.bit_generator.state
+        for _ in range(3):
+            assert draws.choice(200, 2) == live.choice(200, 2, replace=False).tolist()
+            assert draws.integers(15) == live.integers(15)
+        draws.sync()
+        draws.sync()
+        assert twin.bit_generator.state == live.bit_generator.state
+        assert twin.integers(child_seed(5, 3)) == live.integers(child_seed(5, 3))
+
+
+class TestRejectsWhatNumpyRejects:
+    @pytest.mark.parametrize("args", [(0,), (-3,), (5, 5), (5, 4)])
+    def test_empty_range(self, args):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(*args)
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).integers(*args)
+
+    def test_sample_larger_than_population(self):
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).choice(3, 4)
+
+    @pytest.mark.parametrize("args", [(2**32 + 1,), (-1, 2**32)])
+    def test_range_wider_than_2_32_not_replayed(self, args):
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).integers(*args)
+
+    def test_sample_above_200_not_replayed(self):
+        # numpy switches to a tail shuffle for such samples of a large range
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).choice(20000, 201)
