@@ -138,13 +138,14 @@ def _power_source(spec: str):
 def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     """Every instance `spec` names, labelled for benchmark records: built-in
     `table3`, a native file, or the `ta20x5` set or each block of a
-    Taillard file with powers from `powers_spec`."""
+    Taillard file with powers from `powers_spec`.  The power file is
+    checked for every spec, including those that keep their own powers."""
+    powers = _power_source(powers_spec)
     if spec == "table3":
         return [harness.BenchTask("table3", 1, load_table3())]
     if spec == "ta20x5":
-        powers = _power_source(powers_spec)(5)
         return [
-            harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k, powers))
+            harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k, powers(5)))
             for k in range(1, len(TAILLARD_TIME_SEEDS[20, 5]) + 1)
         ]
     text = Path(spec).read_text(encoding="utf-8")
@@ -152,7 +153,6 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     if not is_taillard(text):
         return [harness.BenchTask(label, 1, parse_instance(text))]
     blocks = parse_taillard_blocks(text)
-    powers = _power_source(powers_spec)
     return [
         harness.BenchTask(label, k, block.to_instance(powers(block.n_machines)))
         for k, block in enumerate(blocks, start=1)

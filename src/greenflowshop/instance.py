@@ -241,12 +241,14 @@ def taillard_instance(
 def _int_tokens(line: str) -> list[int] | None:
     """Tokens of a data line, or None for marker/blank lines.
 
-    A line containing any alphabetic character is a marker ("processing
-    times :" and friends) and is skipped; a wordless line whose tokens are
-    not all integers is malformed data.
+    A line with letters and no digits is a marker ("processing times :"
+    and friends) and is skipped; any other line whose tokens are not all
+    integers, such as a data row with a stray letter, is malformed data.
     """
     stripped = line.strip()
-    if not stripped or any(ch.isalpha() for ch in stripped):
+    if not stripped:
+        return None
+    if any(ch.isalpha() for ch in stripped) and not any(ch.isdigit() for ch in stripped):
         return None
     try:
         return [int(tok) for tok in stripped.split()]

@@ -7,7 +7,10 @@ single incumbent, recenters on it whenever some neighbour strictly
 dominates it, and stops once all three operators fail in a row or the
 iteration budget runs out.  Every neighbour agrees with the incumbent up
 to its first changed position, so it is evaluated from the incumbent's
-per-position recurrence state instead of from scratch.
+per-position recurrence state instead of from scratch.  The walk carries
+its incumbent and its archive as plain (objectives, permutation) pairs;
+`Individual`s are built only for the passes that rank their pool and for
+the result.
 """
 
 from __future__ import annotations
@@ -117,22 +120,20 @@ def vnd_explore(
 ) -> tuple[Individual, list[Individual]]:
     """Descend from `start` and harvest the walk's trade-off discoveries.
 
-    Each pass proposes the active operator's neighbours of the incumbent.
-    If one of them dominates the incumbent, the pool's rank-1 set is taken
-    and its sole member or the one with the largest crowding distance is
-    picked; a pick that dominates the incumbent becomes the new centre
-    (operator unchanged).  Otherwise the next operator takes over.  Three
-    consecutive operator failures mean none of them can improve the
-    incumbent, which ends the search early.
+    Each pass prices the active operator's neighbours of the incumbent.
+    If one of them dominates the incumbent, the pool's rank-1 member with
+    the largest crowding distance is picked; a pick that dominates the
+    incumbent becomes the new centre (operator unchanged).  Otherwise the
+    next operator takes over.  Three consecutive operator failures mean
+    none of them can improve the incumbent, which ends the search early.
 
     Ranking only when a neighbour dominates gives the same walk as ranking
     the pool plus the incumbent every pass: without such a neighbour the
     incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
     incumbent is not rank 1 and changes no other member's rank-1 status,
-    so it is left out of the pool.  Ranking draws no random numbers, and
-    its marks land only on discarded pool members.  Neighbours are priced
-    from the incumbent's `Prefix`, rebuilt from the states the new
-    incumbent shares with the old one whenever the incumbent changes.
+    so it is left out of the pool.  Ranking draws no random numbers.
+    Neighbours are priced from the incumbent's `Prefix`, rebuilt from the
+    states the new incumbent shares with the old one when it changes.
 
     `priced`, when given, maps permutations to their objectives: a
     neighbour found there is not evaluated, and every other neighbour's
@@ -141,60 +142,52 @@ def vnd_explore(
     the same with or without it: `evaluate` is a pure function of the
     permutation, and the lookup sits after the neighbours are drawn.
 
-    Returns the final incumbent (the start itself or a solution dominating
-    it) plus the mutually non-dominated set of every candidate evaluated
-    along the way; neighbours that trade one objective against the other
-    matter to the caller's front even though the descent cannot accept
-    them.
+    Returns the final incumbent (a new `Individual` equal to `start` or
+    dominating it) plus, in discovery order, the mutually non-dominated set
+    of every candidate evaluated along the way; neighbours that trade one
+    objective against the other matter to the caller's front even though
+    the descent cannot accept them.  `start` itself is never returned or
+    marked.
     """
-    best = start.copy()
-    archive = [best.copy()]
-
-    def harvest(ind: Individual) -> None:
-        for kept in archive:
-            if kept.obj == ind.obj or dominates(kept.obj, ind.obj):
-                return
-        archive[:] = [kept for kept in archive if not dominates(ind.obj, kept.obj)]
-        archive.append(ind.copy())
-
-    a = 0
-    flag = 0
-    failures = 0
-    g = 1
-    prefix = schedule_prefix(instance, best.perm)
-    while g < max_iters:
-        neighbours = NEIGHBORHOOD_OPS[a](best.perm, draws)
-        if priced is None:
-            pool = [Individual(p, evaluate(instance, p, kappa, prefix)) for p in neighbours]
-        else:
-            pool = []
-            for p in neighbours:
-                obj = priced.get(p)
-                if obj is None:
-                    obj = priced[p] = evaluate(instance, p, kappa, prefix)
-                pool.append(Individual(p, obj))
-        for ind in pool:
-            harvest(ind)
-        pick = None
-        if any(dominates(ind.obj, best.obj) for ind in pool):
-            top = fast_nondominated_sort(pool)[0]
-            if len(top) == 1:
-                pick = top[0]
+    best_perm, best_obj = start.perm, start.obj
+    archive = [(best_obj, best_perm)]  # (objectives, permutation) pairs
+    prefix = schedule_prefix(instance, best_perm)
+    a = failures = 0
+    for _ in range(max_iters - 1):
+        bft, ben = best_obj
+        improves = False
+        pool = []
+        for perm in NEIGHBORHOOD_OPS[a](best_perm, draws):
+            obj = None if priced is None else priced.get(perm)
+            if obj is None:
+                obj = evaluate(instance, perm, kappa, prefix)
+                if priced is not None:
+                    priced[perm] = obj
+            pool.append((obj, perm))
+            ft, en = obj
+            if not improves and ft <= bft and en <= ben and (ft < bft or en < ben):
+                improves = True
+            # keep the neighbour unless a member weakly dominates it
+            for (kft, ken), _ in archive:
+                if kft <= ft and ken <= en:
+                    break
             else:
-                crowding_distance(top)
-                pick = max(top, key=lambda ind: ind.crowding)
-        if pick is not None and dominates(pick.obj, best.obj):
-            best = pick.copy()
-            prefix = schedule_prefix(instance, best.perm, prefix)
-            failures = 0
-        else:
-            flag += 1
-            a = flag % 3
-            failures += 1
-            if failures == 3:
-                break
-        g += 1
-    return best, archive
+                archive = [(o, p) for o, p in archive if o[0] < ft or o[1] < en]
+                archive.append((obj, perm))
+        if improves:
+            ranked = [Individual(perm, obj) for obj, perm in pool]
+            top = crowding_distance(fast_nondominated_sort(ranked)[0])
+            pick = max(top, key=lambda ind: ind.crowding)
+            if dominates(pick.obj, best_obj):
+                best_perm, best_obj = pick.perm, pick.obj
+                prefix = schedule_prefix(instance, best_perm, prefix)
+                failures = 0
+                continue
+        a = (a + 1) % 3
+        failures += 1
+        if failures == 3:
+            break
+    return Individual(best_perm, best_obj), [Individual(p, o) for o, p in archive]
 
 
 def vnd_local_search(

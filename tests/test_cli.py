@@ -199,6 +199,32 @@ class TestSolve:
         assert str(powers) in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("instance", ["table3", "native"])
+    def test_own_power_instance_still_checks_power_file(self, tmp_path, capsys, instance):
+        # table3 and native files keep their own ratings, but a bad or
+        # missing power file is still an error before any solver work
+        if instance == "native":
+            instance = tmp_path / "toy.txt"
+            instance.write_text(format_instance(TOY))
+        out = tmp_path / "front.csv"
+        argv = ["solve", "--instance", str(instance), "--pop", "4", "--gen", "1",
+                "--out", str(out), "--powers"]
+        bad = tmp_path / "pw.txt"
+        bad.write_text("abc\n")
+        assert run(argv + [str(bad)]) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert run(argv + [str(tmp_path / "missing.txt")]) == 2
+        assert not out.exists()
+
+    def test_data_row_with_stray_letter_is_contract_error(self, tmp_path, capsys):
+        path = tmp_path / "tai.txt"
+        path.write_text("jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5O\n"
+                        "jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5\n")
+        assert run(["bench", str(path), "--pop", "4", "--gen", "1", "--runs", "1",
+                    "--out", str(tmp_path / "bench.csv")]) == 3
+        assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_index_picks_from_builtin_set(self, tmp_path):
         out = tmp_path / "front.csv"
         code = run(["solve", "--instance", "ta20x5", "--index", "3", "--pop", "4",

@@ -76,6 +76,15 @@ class TestParseTaillard:
             parse_taillard(bad, 1)
         assert err.value.line == 3
 
+    def test_data_row_with_stray_letter_reports_its_line(self):
+        # block 1's last value reads "5O"; skipping the row as a marker would
+        # read block 2's header as its times and blame line 8 instead
+        bad = ("jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5O\n"
+               "jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5\n")
+        with pytest.raises(InstanceFormatError, match="non-integer") as err:
+            parse_taillard(bad, 1)
+        assert err.value.line == 4
+
     def test_negative_time_reports_line(self):
         with pytest.raises(InstanceFormatError) as err:
             parse_taillard("2 2\ntimes\n3 2\n4 -5\n", 1)

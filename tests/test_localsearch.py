@@ -166,6 +166,23 @@ class TestVnd:
                         Draws(np.random.default_rng(11)))
         assert sorts == []
 
+    def test_start_never_returned_or_marked(self, monkeypatch):
+        # the caller finds pool slots by `id`, so the descent must hand back
+        # new objects and leave the start's rank and crowding alone, also
+        # on a walk that ranks a pool and improves (start (0, 1) of TOY)
+        sorts = []
+        real_sort = localsearch.fast_nondominated_sort
+        monkeypatch.setattr(localsearch, "fast_nondominated_sort",
+                            lambda pool: sorts.append(pool) or real_sort(pool))
+        for perm, improves in (((0, 1), True), ((1, 0), False)):
+            start = Individual(perm, evaluate(TOY, perm), rank=2, crowding=1.5)
+            sorts.clear()
+            best, archive = vnd_explore(start, TOY, 15, Draws(np.random.default_rng(0)))
+            assert dominates(best.obj, start.obj) == bool(sorts) == improves
+            assert (start.rank, start.crowding) == (2, 1.5)
+            assert best is not start
+            assert all(ind is not start and ind is not best for ind in archive)
+
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)
         rng = Draws(np.random.default_rng(10))
