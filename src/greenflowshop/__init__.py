@@ -4,7 +4,6 @@ descent, an orthogonal-array tuning harness and a benchmark driver."""
 
 from .instance import (
     Instance,
-    TaillardBlock,
     default_powers,
     generate_instance,
     load_table3,
@@ -24,7 +23,6 @@ __all__ = [
     "Instance",
     "Objectives",
     "RunConfig",
-    "TaillardBlock",
     "crowding_distance",
     "default_powers",
     "dominates",

@@ -26,7 +26,6 @@ from .instance import (
     load_table3,
     parse_instance,
     parse_taillard_blocks,
-    save_instance,
     taillard_instance,
 )
 # The loader reads a Taillard file in one `parse_taillard_blocks` pass; the
@@ -152,11 +151,21 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     label = Path(spec).stem
     if not is_taillard(text):
         return [harness.BenchTask(label, 1, parse_instance(text))]
-    blocks = parse_taillard_blocks(text)
     return [
-        harness.BenchTask(label, k, block.to_instance(powers(block.n_machines)))
-        for k, block in enumerate(blocks, start=1)
+        harness.BenchTask(label, k, Instance.from_matrix(times, powers(len(times[0]))))
+        for k, times in enumerate(parse_taillard_blocks(text), start=1)
     ]
+
+
+def _check_outputs(*paths) -> None:
+    """Raise OSError for the first given path that cannot be written as a
+    file because its directory is missing or it is a directory.  Called
+    before any solver work; it creates nothing."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise OSError(f"output path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise OSError(f"output path {path}: no such directory")
 
 
 def _load_instance(args) -> Instance:
@@ -169,7 +178,7 @@ def _load_instance(args) -> Instance:
 def _cmd_generate(args) -> int:
     instance = generate_instance(args.jobs, args.machines, args.seed)
     if args.out:
-        save_instance(instance, args.out)
+        Path(args.out).write_text(format_instance(instance), encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(format_instance(instance))
@@ -177,6 +186,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_outputs(args.out, args.json)
     instance = _load_instance(args)
     front = evolve(instance, _config(args), kappa=args.kappa)
     if args.out:
@@ -192,23 +202,25 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    prefix = args.out or "tuning"
+    paths = {response: (f"{prefix}_{response}_responses.csv", f"{prefix}_{response}_table.csv")
+             for response in ("flowtime", "energy")}
+    _check_outputs(*paths["flowtime"], *paths["energy"])
     instance = _load_instance(args)
     design = tuning.build_l16()
     # the design rows set population, generations and both probabilities
     base = RunConfig(ls_enabled=args.ls == "on")
-    prefix = args.out or "tuning"
     campaign = tuning.run_design(design, instance, args.seed, base_config=base,
                                  kappa=args.kappa)
     tables = {}
     for response, responses in campaign.items():
         table = tuning.response_table(design, responses)
         tables[response] = table
-        rows_path = f"{prefix}_{response}_responses.csv"
+        rows_path, table_path = paths[response]
         with open(rows_path, "w", encoding="utf-8") as fh:
             fh.write("gen,pop,crossover,mutation,response\n")
             for row, value in zip(design.rows, responses):
                 fh.write(f"{row.gen},{row.pop},{row.crossover},{row.mutation},{value!r}\n")
-        table_path = f"{prefix}_{response}_table.csv"
         Path(table_path).write_text(tuning.response_table_csv(table), encoding="utf-8")
         print(f"wrote {rows_path} and {table_path}")
     picked = tuning.pick_best_params(tables["flowtime"], tables["energy"])
@@ -217,6 +229,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out = args.out or "bench.csv"
+    _check_outputs(out, args.json)
     tasks = [task for spec in args.instances for task in _load_tasks(spec, args.powers)]
 
     def progress(task, done, total):
@@ -225,7 +239,6 @@ def _cmd_bench(args) -> int:
     records = harness.run_benchmark(
         tasks, _config(args), args.runs, kappa=args.kappa, on_progress=progress
     )
-    out = args.out or "bench.csv"
     harness.write_bench_csv(out, records)
     if args.json:
         harness.write_bench_json(args.json, records)

@@ -16,7 +16,6 @@ from .seeding import stream
 
 __all__ = [
     "Instance",
-    "TaillardBlock",
     "InstanceFormatError",
     "TABLE9_POWERS",
     "TAILLARD_TIME_SEEDS",
@@ -30,7 +29,6 @@ __all__ = [
     "parse_taillard",
     "parse_taillard_blocks",
     "format_instance",
-    "save_instance",
     "taillard_instance",
 ]
 
@@ -131,21 +129,6 @@ def _minutes(t) -> int:
     raise ValueError(f"processing times must be integer minutes, got {t!r}")
 
 
-@dataclass(frozen=True)
-class TaillardBlock:
-    """One parsed block of a Taillard file: times only, powers unset."""
-
-    n_jobs: int
-    n_machines: int
-    time_seed: int | None
-    upper_bound: int | None
-    lower_bound: int | None
-    proc_time: tuple[tuple[int, ...], ...]  # already transposed to job-major
-
-    def to_instance(self, fixed_power) -> Instance:
-        return Instance.from_matrix(self.proc_time, fixed_power)
-
-
 def check_permutation(perm, n_jobs: int) -> None:
     """Raise ValueError unless `perm` is a bijection on 0..n_jobs-1."""
     if len(perm) != n_jobs:
@@ -238,64 +221,50 @@ def taillard_instance(
 # ---------------------------------------------------------------------------
 
 
-def _int_tokens(line: str) -> list[int] | None:
-    """Tokens of a data line, or None for marker/blank lines.
+def _taillard_rows(text: str):
+    """(line number, integers) for each data line of Taillard text.
 
-    A line with letters and no digits is a marker ("processing times :"
-    and friends) and is skipped; any other line whose tokens are not all
-    integers, such as a data row with a stray letter, is malformed data.
+    Blank lines and markers, lines with letters and no digits ("processing
+    times :" and friends), are skipped; any other line whose tokens are not
+    all integers, such as a data row with a stray letter, is malformed data.
     """
-    stripped = line.strip()
-    if not stripped:
-        return None
-    if any(ch.isalpha() for ch in stripped) and not any(ch.isdigit() for ch in stripped):
-        return None
-    try:
-        return [int(tok) for tok in stripped.split()]
-    except ValueError:
-        raise InstanceFormatError("non-integer value in data line", None)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or (any(ch.isalpha() for ch in line)
+                          and not any(ch.isdigit() for ch in line)):
+            continue
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:
+            raise InstanceFormatError("non-integer value in data line", lineno) from None
+        yield lineno, values
 
 
-def parse_taillard_blocks(text: str) -> list[TaillardBlock]:
-    """Every block of a Taillard file, in file order, from one pass.
+def parse_taillard_blocks(text: str) -> list[tuple[tuple[int, ...], ...]]:
+    """The job-major time matrix of every block of a Taillard file, in file
+    order, from one pass.
 
     Each block is a header line (jobs, machines, and optionally time seed,
-    upper bound, lower bound) followed by a machine-major matrix of
-    n_machines rows by n_jobs integers; marker lines are ignored.  The
-    matrix is transposed so rows are jobs.  The header's seed field is kept
-    but never used to regenerate times.
+    upper bound and lower bound, which are ignored) followed by a
+    machine-major matrix of n_machines rows by n_jobs integers, rows free to
+    wrap or share lines; marker lines are ignored.
     """
-    lines = text.splitlines()
-    blocks: list[TaillardBlock] = []
-    i = 0
-    while i < len(lines):
-        try:
-            tokens = _int_tokens(lines[i])
-        except InstanceFormatError as exc:
-            raise InstanceFormatError(str(exc), i + 1) from None
-        if tokens is None:
-            i += 1
-            continue
-        header_line = i + 1
-        if len(tokens) not in (2, 5) or tokens[0] < 1 or tokens[1] < 1:
+    rows = _taillard_rows(text)
+    blocks = []
+    for header_line, header in rows:
+        if len(header) not in (2, 5) or header[0] < 1 or header[1] < 1:
             raise InstanceFormatError(
                 "header must be 'jobs machines' or 'jobs machines seed ub lb'",
                 header_line,
             )
-        n, m = tokens[0], tokens[1]
-        seed, ub, lb = (tokens[2], tokens[3], tokens[4]) if len(tokens) == 5 else (None, None, None)
-        i += 1
+        n, m = header[0], header[1]
         values: list[int] = []
-        while i < len(lines) and len(values) < n * m:
-            try:
-                row = _int_tokens(lines[i])
-            except InstanceFormatError as exc:
-                raise InstanceFormatError(str(exc), i + 1) from None
-            if row is not None:
-                if any(v < 0 for v in row):
-                    raise InstanceFormatError("processing times must be non-negative", i + 1)
-                values.extend(row)
-            i += 1
+        for lineno, row in rows:
+            if any(v < 0 for v in row):
+                raise InstanceFormatError("processing times must be non-negative", lineno)
+            values.extend(row)
+            if len(values) >= n * m:
+                break
         if len(values) < n * m:
             raise InstanceFormatError(
                 f"matrix truncated: expected {n * m} values, found {len(values)}",
@@ -305,17 +274,15 @@ def parse_taillard_blocks(text: str) -> list[TaillardBlock]:
             raise InstanceFormatError(
                 f"matrix overrun: expected {n * m} values", header_line
             )
-        job_major = tuple(
-            tuple(values[j * n + k] for j in range(m)) for k in range(n)
-        )
-        blocks.append(TaillardBlock(n, m, seed, ub, lb, job_major))
+        blocks.append(tuple(tuple(values[k::n]) for k in range(n)))
     if not blocks:
         raise InstanceFormatError("no instance blocks found")
     return blocks
 
 
-def parse_taillard(text: str, instance_index: int) -> TaillardBlock:
-    """Parse block `instance_index` (1-based) out of a Taillard file."""
+def parse_taillard(text: str, instance_index: int) -> tuple[tuple[int, ...], ...]:
+    """The job-major time matrix of block `instance_index` (1-based) of a
+    Taillard file."""
     if instance_index < 1:
         raise IndexError("instance_index is 1-based")
     blocks = parse_taillard_blocks(text)
@@ -407,7 +374,3 @@ def format_instance(instance: Instance) -> str:
 def _format_power(p: float) -> str:
     return str(int(p)) if float(p).is_integer() else repr(p)
 
-
-def save_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(instance))

@@ -53,7 +53,8 @@ class Draws:
     draw, while `random` takes a whole word.  Sampling without
     replacement is Floyd's algorithm (Bentley & Floyd, CACM 1987)
     followed by a Fisher-Yates shuffle, which is what numpy does for
-    samples of up to 200; larger ones are not replayed.
+    samples of up to 200 from up to 2^32 values; larger ones are not
+    replayed.
 
     Words are pulled ahead in chunks, so the generator runs ahead of the
     draws; `sync` puts it where numpy's own calls would have left it.
@@ -126,7 +127,7 @@ class Draws:
 
     def choice(self, n: int, k: int) -> list[int]:
         """`Generator.choice(n, k, replace=False)` as a list of ints."""
-        if not 0 <= k <= min(n, 200):
+        if not 0 <= k <= min(n, 200) or n > 1 << 32:
             raise ValueError(f"cannot draw {k} of {n} without replacement")
         if k == 2 and n > 2:  # the tournaments' and the crossover's draw
             i, j, swap = self._below((n - 1, n, 2))

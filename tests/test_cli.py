@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from greenflowshop import cli as cli_module
+from greenflowshop import harness as harness_module
 from greenflowshop import instance as instance_module
 from greenflowshop import tuning
 from greenflowshop.cli import _HANDLERS, _build_parser, _config, _load_tasks, cli
@@ -346,6 +347,33 @@ class TestBench:
         expected = tmp_path / "expected.csv"
         write_bench_csv(expected, run_benchmark(tasks, RunConfig(4, 1, seed=0), 1))
         assert out.read_bytes() == expected.read_bytes()
+
+
+class TestUnwritableOutput:
+    """Every output path is checked before the solver runs; nothing is made."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        ("solve --instance table3 --out {tmp}/gone/front.csv", "{tmp}/gone/front.csv"),
+        ("solve --instance table3 --json {tmp}/gone/front.json", "{tmp}/gone/front.json"),
+        ("solve --instance table3 --out {tmp}/made", "{tmp}/made"),
+        ("tune --instance table3 --out {tmp}/gone/l16", "{tmp}/gone/l16_flowtime_responses.csv"),
+        ("tune --instance table3 --out {tmp}/l16", "{tmp}/l16_energy_table.csv"),
+        ("bench table3 --out {tmp}/gone/bench.csv", "{tmp}/gone/bench.csv"),
+        ("bench table3 --out {tmp}/bench.csv --json {tmp}/gone/b.json", "{tmp}/gone/b.json"),
+    ], ids=["solve-out", "solve-json", "solve-out-is-dir", "tune-prefix",
+            "tune-table-is-dir", "bench-out", "bench-json"])
+    def test_exits_2_before_solver_work(self, tmp_path, monkeypatch, capsys, argv, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        for module in (cli_module, tuning, harness_module):
+            monkeypatch.setattr(module, "evolve", no_solve)
+        (tmp_path / "made").mkdir()
+        (tmp_path / "l16_energy_table.csv").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(shlex.split(argv.format(tmp=tmp_path))) == 2
+        assert bad.format(tmp=tmp_path) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestReport:

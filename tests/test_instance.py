@@ -9,7 +9,6 @@ from greenflowshop.instance import (
     Instance,
     InstanceFormatError,
     TABLE9_POWERS,
-    TaillardBlock,
     count_taillard_blocks,
     default_powers,
     format_instance,
@@ -40,23 +39,15 @@ processing times :
 
 class TestParseTaillard:
     def test_toy_block_transposes_to_job_major(self):
-        block = parse_taillard(TOY_TAILLARD, 1)
-        assert block.n_jobs == 2
-        assert block.n_machines == 2
-        assert block.proc_time == ((3, 4), (2, 5))
-        assert block.time_seed == 12345
+        assert parse_taillard(TOY_TAILLARD, 1) == ((3, 4), (2, 5))
 
     def test_two_token_header(self):
-        block = parse_taillard("2 2\ntimes\n3 2\n4 5\n", 1)
-        assert block.proc_time == ((3, 4), (2, 5))
-        assert block.time_seed is None
+        assert parse_taillard("2 2\ntimes\n3 2\n4 5\n", 1) == ((3, 4), (2, 5))
 
     def test_multi_block_indexing(self):
         text = TOY_TAILLARD + SECOND_BLOCK
         assert count_taillard_blocks(text) == 2
-        second = parse_taillard(text, 2)
-        assert second.n_jobs == 3
-        assert second.proc_time == ((1, 4), (2, 5), (3, 6))
+        assert parse_taillard(text, 2) == ((1, 4), (2, 5), (3, 6))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -102,7 +93,7 @@ class TestParseTaillard:
         # same matrix, different header seeds: identical parse results
         a = parse_taillard(TOY_TAILLARD, 1)
         b = parse_taillard(TOY_TAILLARD.replace("12345", "54321"), 1)
-        assert a.proc_time == b.proc_time
+        assert a == b
 
     def test_benchmark_block_within_bounds(self):
         times = generate_taillard_times(20, 5, 873654221)
@@ -120,8 +111,28 @@ class TestParseTaillard:
             "20 5 873654221 1278 1232\nprocessing times :\n"
             + "\n".join(machine_major) + "\n"
         )
-        block = parse_taillard(text, 1)
-        assert block.proc_time == times
+        assert parse_taillard(text, 1) == times
+
+
+# One 5-job x 2-machine block, one machine row per line.
+CANONICAL = "jobs machines :\n5 2 7 0 0\ntimes :\n1 2 3 4 5\n6 7 8 9 10\n"
+
+
+class TestTaillardLayouts:
+    @pytest.mark.parametrize("text", [
+        "jobs machines :\n5 2 7 0 0\ntimes :\n1 2 3\n4 5\n6 7\n8 9 10\n",
+        "jobs machines :\n5 2 7 0 0\ntimes :\n1 2 3 4 5 6 7 8 9 10\n",
+        CANONICAL.replace("\n", "\r\n"),
+    ], ids=["rows-wrapped", "rows-on-one-line", "crlf"])
+    def test_layout_reads_as_canonical(self, text):
+        assert count_taillard_blocks(text) == 1
+        assert parse_taillard(text, 1) == parse_taillard(CANONICAL, 1)
+
+    def test_header_right_after_last_value(self):
+        text = CANONICAL + "2 2 7 0 0\n3 2\n4 5\n"
+        assert count_taillard_blocks(text) == 2
+        assert parse_taillard(text, 1) == parse_taillard(CANONICAL, 1)
+        assert parse_taillard(text, 2) == parse_taillard("x\n2 2 7 0 0\n3 2\n4 5\n", 1)
 
 
 class TestTaillardGenerator:
@@ -368,13 +379,12 @@ def _check_native(text: str) -> None:
 
 def _check_taillard(text: str) -> None:
     try:
-        block = parse_taillard(text, 1)
+        times = parse_taillard(text, 1)
     except InstanceFormatError:
         return
-    assert isinstance(block, TaillardBlock)
-    assert block.n_jobs >= 1 and block.n_machines >= 1
+    assert len(times) >= 1 and len(times[0]) >= 1
     # the block takes any valid powers without further errors
-    assert isinstance(block.to_instance([1.0] * block.n_machines), Instance)
+    assert isinstance(Instance.from_matrix(times, [1.0] * len(times[0])), Instance)
 
 
 class TestParserFuzz:

@@ -125,6 +125,13 @@ class TestRejectsWhatNumpyRejects:
         with pytest.raises(ValueError):
             Draws(np.random.default_rng(0)).integers(*args)
 
+    @pytest.mark.parametrize("n, k", [(2**32 + 1, 2), (2**32 + 5, 10)])
+    def test_population_above_2_32_not_replayed(self, n, k):
+        # 32-bit draws cannot cover such a range; Lemire's test would
+        # reject every one of them
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).choice(n, k)
+
     def test_sample_above_200_not_replayed(self):
         # numpy switches to a tail shuffle for such samples of a large range
         with pytest.raises(ValueError):
