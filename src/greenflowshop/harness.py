@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -215,9 +216,9 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    """Records of a `write_bench_csv` file.  A missing column, a short row
-    or an unreadable value raises ValueError naming the file, the line and
-    the field."""
+    """Records of a `write_bench_csv` file.  A missing column, a short row,
+    an unreadable value or a float that is not finite raises ValueError
+    naming the file, the line and the field."""
     columns = get_type_hints(BenchRecord)  # field name -> str, int or float
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -230,7 +231,9 @@ def read_bench_csv(path) -> list[BenchRecord]:
                 if text is None:
                     raise ValueError(f"{where}: missing field {name!r}")
                 try:
-                    values[name] = parse(text)
+                    values[name] = value = parse(text)
+                    if parse is float and not math.isfinite(value):
+                        raise ValueError  # `bench` never writes one
                 except ValueError:
                     raise ValueError(f"{where}: bad {name!r} value {text!r}") from None
             records.append(BenchRecord(**values))

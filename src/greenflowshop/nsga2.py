@@ -10,6 +10,13 @@ never perturbs the selection stream.  Variation and descent draw through
 one `seeding.Draws` per stream and generation, which replays numpy's
 `Generator` draws from the stream's raw words.
 
+The merged pool is ranked once per generation (twice with the descent),
+and the survivors are not ranked again.  They are the best whole fronts
+plus part of the next one, so dropping the worse fronts moves no
+survivor's rank, and each whole front keeps its members in the same
+order, hence the same crowding.  Only the truncated front is crowded
+anew, over the members it keeps.
+
 Elitist selection fills the population with copies of a few front
 members, so a generation proposes the same permutations many times.  Each
 is priced once: offspring equal to a population member or an earlier
@@ -35,6 +42,7 @@ from .pareto import (
     FrontSet,
     Individual,
     crowded_compare,
+    crowding_distance,
     dominates,
     rank_population,
     unique_sorted,
@@ -113,18 +121,12 @@ def order_crossover(
 
 
 def _ox_child(keeper, donor, lo: int, hi: int) -> tuple[int, ...]:
-    n = len(keeper)
-    child = [None] * n
-    child[lo:hi] = keeper[lo:hi]
+    # The donor's other jobs, read cyclically from `hi`, fill positions
+    # hi..n-1 and then 0..lo-1.
     held = set(keeper[lo:hi])
-    pos = hi % n
-    for k in range(n):
-        job = donor[(hi + k) % n]
-        if job in held:
-            continue
-        child[pos] = job
-        pos = (pos + 1) % n
-    return tuple(child)
+    rest = [j for j in donor[hi:] + donor[:hi] if j not in held]
+    tail = len(keeper) - hi
+    return (*rest[tail:], *keeper[lo:hi], *rest[:tail])
 
 
 def swap_mutation(perm, draws: Draws) -> tuple[int, ...]:
@@ -136,14 +138,21 @@ def swap_mutation(perm, draws: Draws) -> tuple[int, ...]:
 
 def _select_next(fronts: FrontSet, size: int) -> list[Individual]:
     """Fill front by front; the partially fitting front is truncated by
-    descending crowding distance (stable on ties)."""
+    descending crowding distance (stable on ties).
+
+    Survivors keep the rank and crowding of `fronts`, which are what
+    ranking the survivors anew would give (see the module docstring); only
+    the truncated front's crowding is recomputed, over the kept members in
+    the order they are placed.
+    """
     out: list[Individual] = []
     for front in fronts:
-        if len(out) + len(front) <= size:
+        room = size - len(out)
+        if len(front) <= room:
             out.extend(front)
         else:
             ordered = sorted(front, key=lambda ind: -ind.crowding)
-            out.extend(ordered[: size - len(out)])
+            out.extend(crowding_distance(ordered[:room]))
         if len(out) == size:
             break
     return out
@@ -268,7 +277,6 @@ def evolve(
             stores = _apply_local_search(merged, fronts, instance, ls_draws, kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
-        rank_population(pop)
         if on_generation is not None:
             on_generation(gen, merged, pop)
     return unique_sorted(ind for ind in pop if ind.rank == 1)

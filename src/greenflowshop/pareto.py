@@ -5,11 +5,24 @@ Crowding is the plain unnormalized neighbour-gap sum (boundary members get
 infinity).  Energy values are compared with exact float equality: they
 derive deterministically from integer power-minute sums scaled once, so no
 epsilon is involved.
+
+With two objectives, ranking takes one sort and one binary search per
+point (Jensen 2003).  The points are visited by (flowtime, energy), so a
+front's latest member has the lowest energy in its front and no higher
+flowtime than the newcomer: it dominates the newcomer exactly when its
+energy is no higher and the two points differ, and no other member of its
+front can.  The fronts' latest energies never decrease from rank to rank,
+since a newcomer replaces the first of them above its own energy, so
+`bisect_right` of the newcomer's energy in that list is the first front
+that accepts it.  A point equal to the one before it joins that point's
+front instead: equal points do not dominate each other, but `bisect_right`
+would pass over their shared energy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .objectives import Objectives
@@ -57,20 +70,25 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
     """Peel `pop` into ranked fronts (rank 1 = non-dominated).
 
-    One sort by (flowtime, energy), then each member joins the first front
-    whose latest member does not dominate it, or opens a new front.  In
-    that order a front's latest member has its lowest energy, so it is the
-    only one that could dominate a newcomer.  Members keep their input
-    order within a front; ranks are written onto the individuals.
+    One sort by (flowtime, energy), then one binary search per member (see
+    the module docstring).  Members keep their input order within a front;
+    ranks are written onto the individuals.
     """
+    objs = [ind.obj for ind in pop]
     fronts: list[list[int]] = []
-    for k in sorted(range(len(pop)), key=lambda k: pop[k].obj):
-        for front in fronts:
-            if not dominates(pop[front[-1]].obj, pop[k].obj):
-                front.append(k)
-                break
-        else:
-            fronts.append([k])
+    last: list[float] = []  # each front's latest energy, non-decreasing
+    prev = f = None
+    for k in sorted(range(len(pop)), key=objs.__getitem__):
+        obj = objs[k]
+        if obj != prev:  # a repeat joins the front of the point it repeats
+            prev = obj
+            f = bisect_right(last, obj.energy)
+            if f == len(last):
+                fronts.append([])
+                last.append(obj.energy)
+            else:
+                last[f] = obj.energy
+        fronts[f].append(k)
     for rank, front in enumerate(fronts, 1):
         front.sort()
         for k in front:
@@ -93,12 +111,12 @@ def crowding_distance(front: list[Individual]) -> list[Individual]:
             ind.crowding = math.inf
         return front
     dist = [0.0] * k
-    for value in (lambda i: front[i].obj.flowtime, lambda i: front[i].obj.energy):
-        order = sorted(range(k), key=value)
+    for values in ([ind.obj.flowtime for ind in front], [ind.obj.energy for ind in front]):
+        order = sorted(range(k), key=values.__getitem__)
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
-        for pos in range(1, k - 1):
-            dist[order[pos]] += abs(value(order[pos + 1]) - value(order[pos - 1]))
+        for before, here, after in zip(order, order[1:], order[2:]):
+            dist[here] += abs(values[after] - values[before])
     for ind, d in zip(front, dist):
         ind.crowding = d
     return front

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import random
 
 from greenflowshop.instance import Instance
@@ -44,6 +45,65 @@ def naive_front_peel(points) -> list[list[int]]:
         fronts.append(layer)
         remaining = [i for i in remaining if i not in layer]
     return fronts
+
+
+def reference_nondominated_sort(pop):
+    """The non-dominated sort as written before the bisect rewrite: one sort
+    by (flowtime, energy), then each member joins the first front whose
+    latest member does not dominate it, scanning the fronts in order."""
+    fronts = []
+    for k in sorted(range(len(pop)), key=lambda k: pop[k].obj):
+        for front in fronts:
+            if not dominates(pop[front[-1]].obj, pop[k].obj):
+                front.append(k)
+                break
+        else:
+            fronts.append([k])
+    for rank, front in enumerate(fronts, 1):
+        front.sort()
+        for k in front:
+            pop[k].rank = rank
+    return [[pop[k] for k in front] for front in fronts]
+
+
+def reference_crowding_distance(front):
+    """Crowding as written before the plain-list rewrite: per objective,
+    sort by a lambda and add each interior member's neighbour gap."""
+    k = len(front)
+    if k == 0:
+        return front
+    if k <= 2:
+        for ind in front:
+            ind.crowding = math.inf
+        return front
+    dist = [0.0] * k
+    for value in (lambda i: front[i].obj.flowtime, lambda i: front[i].obj.energy):
+        order = sorted(range(k), key=value)
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
+        for pos in range(1, k - 1):
+            dist[order[pos]] += abs(value(order[pos + 1]) - value(order[pos - 1]))
+    for ind, d in zip(front, dist):
+        ind.crowding = d
+    return front
+
+
+def reference_ox_child(keeper, donor, lo, hi):
+    """Order-crossover child as first written: fill the positions after the
+    kept segment cyclically with the donor's other jobs, scanning the donor
+    cyclically from the second cut."""
+    n = len(keeper)
+    child = [None] * n
+    child[lo:hi] = keeper[lo:hi]
+    held = set(keeper[lo:hi])
+    pos = hi % n
+    for k in range(n):
+        job = donor[(hi + k) % n]
+        if job in held:
+            continue
+        child[pos] = job
+        pos = (pos + 1) % n
+    return tuple(child)
 
 
 def random_instance(rng: random.Random, n_jobs: int, n_machines: int) -> Instance:

@@ -407,6 +407,18 @@ class TestReport:
         line = text.count("\n")
         assert str(bad) in err and f"line {line}" in err and repr(field) in err
 
+    @pytest.mark.parametrize("field", ["ec1", "ec2", "pct_ft", "pct_ec"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_float_is_contract_error(self, tmp_path, capsys, field, value):
+        header = "problem,dataset,ft1,ec1,ft2,ec2,pct_ft,pct_ec"
+        row = dict(zip(header.split(","), "t,1,18,40.0,18,40.0,0.00,0.00".split(",")))
+        row[field] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\nt,1,18,40.0,18,40.0,0.00,0.00\n{','.join(row.values())}\n")
+        assert run(["report", "--records", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad} line 3: bad {field!r} value {value!r}" in err
+
 
 # sha256 of each file a `tune` campaign on the tiny shop writes (seed 2,
 # descent off): one campaign per design row must keep these bytes.

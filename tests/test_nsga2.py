@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter, defaultdict
@@ -17,6 +18,7 @@ from greenflowshop.instance import (
 )
 from greenflowshop.nsga2 import (
     RunConfig,
+    _ox_child,
     _select_next,
     evolve,
     init_population,
@@ -32,7 +34,7 @@ from greenflowshop.pareto import (
     rank_population,
 )
 from greenflowshop.seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
-from support import enumerate_front
+from support import enumerate_front, reference_ox_child
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -154,6 +156,26 @@ class TestOrderCrossover:
         with pytest.raises(ValueError):
             order_crossover((0, 1), (0, 1, 2), Draws(np.random.default_rng(0)))
 
+    def test_child_matches_reference_for_every_cut_pair(self):
+        # Renaming the jobs renames the child alike, so an identity keeper
+        # against every donor covers every parent pair up to 6 jobs.
+        def cases():
+            for n in range(1, 7):
+                for donor in itertools.permutations(range(n)):
+                    yield tuple(range(n)), donor
+            rng = random.Random(8)
+            for n in (7, 8):
+                for _ in range(300):
+                    yield tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))
+
+        for keeper, donor in cases():
+            n = len(keeper)
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    assert _ox_child(keeper, donor, lo, hi) == reference_ox_child(
+                        keeper, donor, lo, hi
+                    )
+
 
 class TestSwapMutation:
     def test_preserves_jobs(self):
@@ -200,6 +222,50 @@ class TestEliteRetention:
         parents = [ind(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(8)]
         offspring = [ind(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(8)]
         assert len(elite_retention(parents, offspring)) == 8
+
+    def test_oversized_first_front_recrowded_in_kept_order(self):
+        # one front of seven (crowding inf, 5, 5, 6, 6, 6, inf) and a point
+        # it dominates; four survive, by descending crowding, stable on ties
+        points = [(1, 9), (2, 7), (3, 6), (4, 4), (6, 3), (7, 1), (9, 0), (10, 10)]
+        pool = [ind(ft, ec) for ft, ec in points]
+        fronts = rank_population(pool)
+        assert [len(front) for front in fronts] == [7, 1]
+        kept = _select_next(fronts, 4)
+        assert [pool.index(i) for i in kept] == [0, 6, 3, 4]
+        assert [(i.rank, i.crowding) for i in kept] == [
+            (1, math.inf), (1, math.inf), (1, 11.0), (1, 9.0)
+        ]
+        assert [(i.rank, i.crowding) for i in kept] == _fresh_ranking(kept)
+
+
+def _fresh_ranking(pop):
+    """(rank, crowding) of each member when copies of `pop` are ranked anew."""
+    copies = [Individual(i.perm, i.obj) for i in pop]
+    rank_population(copies)
+    return [(c.rank, c.crowding) for c in copies]
+
+
+class TestSurvivorsKeepTheirRanks:
+    """Survivors are not ranked again: dropping whole worse fronts changes no
+    rank and no full front's crowding, and the truncated front is crowded
+    anew as kept.  Every generation's population must read exactly what a
+    fresh `rank_population` over it gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("ls_enabled", [True, False], ids=["descent", "ga-only"])
+    def test_population_reads_a_fresh_ranking(self, table3, seed, ls_enabled):
+        truncated = []
+
+        def check(gen, merged, pop):
+            assert [(i.rank, i.crowding) for i in pop] == _fresh_ranking(pop)
+            worst = max(i.rank for i in pop)
+            truncated.append(
+                sum(i.rank == worst for i in merged) > sum(i.rank == worst for i in pop)
+            )
+
+        config = RunConfig(pop_size=15, generations=6, seed=seed, ls_enabled=ls_enabled)
+        evolve(table3, config, on_generation=check)
+        assert len(truncated) == 6 and any(truncated)
 
 
 class TestEvolve:

@@ -14,7 +14,7 @@ from greenflowshop.pareto import (
     fast_nondominated_sort,
     rank_population,
 )
-from support import naive_front_peel
+from support import naive_front_peel, reference_crowding_distance, reference_nondominated_sort
 
 
 def ind(ft, ec, perm=(0,)):
@@ -97,6 +97,33 @@ class TestFastNondominatedSort:
                 if k > 0:
                     for a in front:
                         assert any(dominates(b.obj, a.obj) for b in fronts[k - 1])
+
+
+class TestAgainstReferenceRanking:
+    """`rank_population` must reproduce the scan-the-fronts sort and the
+    lambda-keyed crowding it replaced: the same members in the same order
+    per front, the same ranks and bit-identical crowding floats."""
+
+    def test_random_pools_with_ties(self):
+        rng = random.Random(2002)
+        sizes = [0, 1, 2, 3] + [rng.randint(4, 64) for _ in range(60)]
+        sizes += [rng.randint(65, 400) for _ in range(20)]
+        for size in sizes:
+            span = rng.choice([3, 30, 1000])
+            # energies with a fractional part, so a different summation
+            # order of the crowding gaps would show in the last bits
+            points = [(rng.randint(0, span), rng.randint(0, span) * 0.1) for _ in range(size)]
+            got, expected = pop_from(points), pop_from(points)
+            fronts = rank_population(got)
+            reference = reference_nondominated_sort(expected)
+            for front in reference:
+                reference_crowding_distance(front)
+            assert [[got.index(i) for i in f] for f in fronts] == [
+                [expected.index(i) for i in f] for f in reference
+            ]
+            assert [(i.rank, repr(i.crowding)) for i in got] == [
+                (i.rank, repr(i.crowding)) for i in expected
+            ]
 
 
 class TestCrowdingDistance:
