@@ -10,7 +10,7 @@ from .instance import (
     parse_taillard,
     taillard_instance,
 )
-from .localsearch import vnd_explore, vnd_local_search
+from .localsearch import vnd_explore
 from .nsga2 import RunConfig, evolve
 from .objectives import DEFAULT_KAPPA, Objectives, evaluate, simulate_oracle
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
@@ -35,5 +35,4 @@ __all__ = [
     "simulate_oracle",
     "taillard_instance",
     "vnd_explore",
-    "vnd_local_search",
 ]

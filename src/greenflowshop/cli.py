@@ -42,6 +42,7 @@ _FLAGS = {
     "--gen": dict(type=int, default=RunConfig.generations, help="generation count"),
     "--pc": dict(type=float, default=RunConfig.p_crossover, help="crossover probability"),
     "--pm": dict(type=float, default=RunConfig.p_mutation, help="mutation probability"),
+    "--index": dict(type=int, default=1, help="1-based instance of a multi-instance set"),
     "--seed": dict(type=int, default=0, help="root random seed"),
     "--ls": dict(choices=("on", "off"), default="on", help="descent pass on rank-1 solutions"),
     "--runs": dict(type=int, default=10, help="repeated runs per benchmark instance"),
@@ -73,15 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="one run, emit the front")
     p_solve.add_argument("--instance", type=str, required=True, help=_INSTANCE_HELP)
-    p_solve.add_argument("--index", type=int, default=1,
-                         help="which instance of a multi-instance set (1-based)")
-    _add_flags(p_solve, *_GA_FLAGS, "--seed", "--ls", "--kappa", "--powers",
+    _add_flags(p_solve, "--index", *_GA_FLAGS, "--seed", "--ls", "--kappa", "--powers",
                "--out", "--json")
 
     p_tune = sub.add_parser("tune", help="orthogonal-array parameter campaign")
     p_tune.add_argument("--instance", type=str, default="table3", help=_INSTANCE_HELP)
-    p_tune.add_argument("--index", type=int, default=1)
-    _add_flags(p_tune, "--seed", "--ls", "--kappa", "--powers", "--out")
+    _add_flags(p_tune, "--index", "--seed", "--ls", "--kappa", "--powers", "--out")
 
     p_bench = sub.add_parser("bench", help="repeated runs over benchmark instances")
     p_bench.add_argument("instances", nargs="+",
@@ -210,8 +208,7 @@ def _cmd_tune(args) -> int:
     design = tuning.build_l16()
     # the design rows set population, generations and both probabilities
     base = RunConfig(ls_enabled=args.ls == "on")
-    campaign = tuning.run_design(design, instance, args.seed, base_config=base,
-                                 kappa=args.kappa)
+    campaign = tuning.run_design(design, instance, args.seed, base, kappa=args.kappa)
     tables = {}
     for response, responses in campaign.items():
         table = tuning.response_table(design, responses)

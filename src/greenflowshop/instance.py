@@ -330,13 +330,12 @@ def parse_instance(text: str) -> Instance:
     if not rows:
         raise InstanceFormatError("empty instance file")
     lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise InstanceFormatError("header must be 'n_jobs n_machines'", lineno)
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = (int(tok) for tok in header.split())
     except ValueError:
-        raise InstanceFormatError("header must be two integers", lineno) from None
+        n = m = 0
+    if n < 1 or m < 1:
+        raise InstanceFormatError("header must be 'n_jobs n_machines', both at least 1", lineno)
     if len(rows) != n + 2:
         raise InstanceFormatError(
             f"expected {n} job rows plus one power row, found {len(rows) - 1} data lines"

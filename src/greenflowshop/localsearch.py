@@ -15,8 +15,6 @@ the result.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .instance import Instance
 from .objectives import DEFAULT_KAPPA, Objectives, evaluate, schedule_prefix
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
@@ -31,7 +29,6 @@ __all__ = [
     "reverse_window",
     "swap_positions",
     "vnd_explore",
-    "vnd_local_search",
 ]
 
 
@@ -189,17 +186,3 @@ def vnd_explore(
             break
     return Individual(best_perm, best_obj), [Individual(p, o) for o, p in archive]
 
-
-def vnd_local_search(
-    start: Individual,
-    instance: Instance,
-    max_iters: int,
-    rng: np.random.Generator,
-    kappa: float = DEFAULT_KAPPA,
-) -> Individual:
-    """Descend from `start`; the result is `start` itself or a solution that
-    dominates it.  `rng` is left where numpy's own draws would leave it."""
-    draws = Draws(rng)
-    best, _ = vnd_explore(start, instance, max_iters, draws, kappa)
-    draws.sync()
-    return best

@@ -1,5 +1,5 @@
 """Dominance arithmetic: Pareto dominance, non-dominated sorting into
-ranked fronts, crowding distance, and the crowded comparison order.
+ranked fronts and crowding distance.
 
 Crowding is the plain unnormalized neighbour-gap sum (boundary members get
 infinity).  Energy values are compared with exact float equality: they
@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from .objectives import Objectives
 
 __all__ = [
-    "FrontSet",
     "Individual",
-    "crowded_compare",
     "crowding_distance",
     "dominates",
     "fast_nondominated_sort",
@@ -56,9 +54,6 @@ class Individual:
         return Individual(self.perm, self.obj)
 
 
-FrontSet = list[list[Individual]]
-
-
 def dominates(a: Objectives, b: Objectives) -> bool:
     """True iff `a` is no worse in both objectives and better in at least one
     (both minimized)."""
@@ -67,7 +62,7 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     return a.flowtime < b.flowtime or a.energy < b.energy
 
 
-def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
+def fast_nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     """Peel `pop` into ranked fronts (rank 1 = non-dominated).
 
     One sort by (flowtime, energy), then one binary search per member (see
@@ -122,17 +117,7 @@ def crowding_distance(front: list[Individual]) -> list[Individual]:
     return front
 
 
-def crowded_compare(a: Individual, b: Individual) -> int:
-    """-1 if `a` precedes `b` (lower rank, then larger crowding), 1 for the
-    reverse, 0 on a tie; callers keep the first argument on ties."""
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    if a.crowding != b.crowding:
-        return -1 if a.crowding > b.crowding else 1
-    return 0
-
-
-def rank_population(pop: list[Individual]) -> FrontSet:
+def rank_population(pop: list[Individual]) -> list[list[Individual]]:
     """Sort into fronts and assign crowding throughout; returns the fronts."""
     fronts = fast_nondominated_sort(pop)
     for front in fronts:

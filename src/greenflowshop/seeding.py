@@ -9,7 +9,8 @@ numpy's RNG policy (NEP 19) keeps the raw stream of a seeded bit
 generator stable, but not the `Generator` methods' algorithms, so those
 draws now depend on `SeedSequence` and the raw stream only.  The initial
 population's shuffles and instance generation still call `Generator`
-methods.
+methods.  `Draws.sync` serves the draw-for-draw tests, which compare the
+generator's state with numpy's; the solver never calls it.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class Draws:
         return picks
 
     def sync(self) -> None:
-        """Leave the generator exactly where numpy's own calls would."""
+        """Leave the generator exactly where numpy's own calls would, for
+        the draw-for-draw tests to compare its state with numpy's."""
         at = self._at
         bits = self._bits
         bits.state = self._start

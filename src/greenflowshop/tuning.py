@@ -95,18 +95,17 @@ def run_design(
     design: TaguchiDesign,
     instance: Instance,
     seed: int,
-    base_config: RunConfig | None = None,
+    base_config: RunConfig,
     kappa: float = DEFAULT_KAPPA,
 ) -> dict[str, list[float]]:
     """One solver run per design row, read for both responses: `flowtime`
     lists each row front's best flowtime and `energy` its best energy.
-    Row seeds derive from `seed`, so a rerun with the same seed reproduces
-    every response."""
-    base = base_config if base_config is not None else RunConfig()
+    A row runs `base_config` with the row's four factors and a seed derived
+    from `seed`, so a rerun with the same seed reproduces every response."""
     out: dict[str, list[float]] = {"flowtime": [], "energy": []}
     for k, row in enumerate(design.rows):
         config = replace(
-            base,
+            base_config,
             pop_size=row.pop,
             generations=row.gen,
             p_crossover=row.crossover,

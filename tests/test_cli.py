@@ -78,6 +78,12 @@ class TestFlags:
         value = {"--ls": "on", "--powers": "table9"}.get(flag, "1")
         assert run(_MINIMAL_ARGV[command] + [flag, value]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "tune"])
+    def test_index_documented(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--index INDEX 1-based instance of a multi-instance set" in help_text
+
 
 def _readme_commands() -> list[str]:
     commands, fenced = [], False
@@ -247,6 +253,12 @@ class TestSolve:
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n3 4\n")  # truncated body
         assert run(["solve", "--instance", str(bad)]) == 3
+
+    def test_bad_native_header_is_contract_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 0\n\n")
+        assert run(["solve", "--instance", str(bad)]) == 3
+        assert "line 1: header must be" in capsys.readouterr().err
 
     def test_malformed_native_file_reports_native_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -243,6 +243,14 @@ class TestNativeFormat:
         with pytest.raises(InstanceFormatError):
             parse_instance("2 2\n3 4\n2 5\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("-1 2\n", 1), ("2 0\n\n", 1), ("1 -3\n4\n1\n", 1), ("0 2\n", 1), ("0 0\n", 1),
+        ("2 x\n", 1), ("2 2 2\n3 4\n2 5\n600 1200\n", 1), ("# shop\n\n0 2\n", 3),
+    ])
+    def test_bad_header_rejected_on_its_line(self, text, line):
+        with pytest.raises(InstanceFormatError, match=f"^line {line}: header must be"):
+            parse_instance(text)
+
 
 class TestInstanceValidation:
     def test_zero_power_rejected(self):

@@ -17,7 +17,6 @@ from greenflowshop.localsearch import (
     reverse_window,
     swap_positions,
     vnd_explore,
-    vnd_local_search,
 )
 from greenflowshop.objectives import evaluate, simulate_oracle
 from greenflowshop.pareto import Individual, dominates
@@ -114,42 +113,42 @@ class TestOperators:
 class TestVnd:
     def test_two_job_instance_finds_dominant_order(self):
         start = Individual((0, 1), evaluate(TOY, (0, 1)))
-        best = vnd_local_search(start, TOY, 15, np.random.default_rng(0))
+        best = vnd_explore(start, TOY, 15, Draws(np.random.default_rng(0)))[0]
         assert best.obj == (18, 40.0)
         assert best.perm == (1, 0)
 
     def test_single_job_returns_start(self):
         inst = Instance.from_matrix([[4]], [800])
         start = Individual((0,), evaluate(inst, (0,)))
-        best = vnd_local_search(start, inst, 15, np.random.default_rng(0))
+        best = vnd_explore(start, inst, 15, Draws(np.random.default_rng(0)))[0]
         assert best.perm == (0,)
         assert best.obj == start.obj
 
     def test_zero_budget_returns_input(self):
         start = Individual((0, 1), evaluate(TOY, (0, 1)))
-        best = vnd_local_search(start, TOY, 0, np.random.default_rng(0))
+        best = vnd_explore(start, TOY, 0, Draws(np.random.default_rng(0)))[0]
         assert best.perm == start.perm
         assert best.obj == start.obj
 
     def test_output_contract_on_random_starts(self):
         rng_py = random.Random(8)
-        rng = np.random.default_rng(8)
+        draws = Draws(np.random.default_rng(8))
         for _ in range(60):
             inst = random_instance(rng_py, 3, rng_py.randint(1, 3))
             perm = tuple(rng_py.sample(range(3), 3))
             start = Individual(perm, evaluate(inst, perm))
-            best = vnd_local_search(start, inst, 15, rng)
+            best = vnd_explore(start, inst, 15, draws)[0]
             assert best.perm == start.perm or dominates(best.obj, start.obj)
             assert not dominates(start.obj, best.obj)
 
     def test_pareto_start_never_worsened(self):
         rng_py = random.Random(9)
-        rng = np.random.default_rng(9)
+        draws = Draws(np.random.default_rng(9))
         inst = random_instance(rng_py, 3, 3)
         _, front = enumerate_front(inst)
         for perm, obj in front.items():
             start = Individual(perm, obj)
-            best = vnd_local_search(start, inst, 15, rng)
+            best = vnd_explore(start, inst, 15, draws)[0]
             # a Pareto-optimal start admits no dominating neighbour
             assert best.obj == start.obj
 

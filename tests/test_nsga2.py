@@ -113,6 +113,18 @@ class TestTournament:
         for _ in range(10):
             assert tournament_select(pop, rng) is a
 
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_full_tie_keeps_first_draw(self, size):
+        # equal rank and crowding: the winner is the first member drawn,
+        # read off a twin `Draws` on the same seed
+        pop = [ind(k, size - k) for k in range(size)]
+        for member in pop:
+            member.rank, member.crowding = 1, 4.0
+        draws, twin = Draws(np.random.default_rng(5)), Draws(np.random.default_rng(5))
+        for _ in range(30):
+            first, _ = twin.choice(size, 2)
+            assert tournament_select(pop, draws) is pop[first]
+
     def test_closure_on_two_members(self):
         a, b = ind(1, 1), ind(2, 2)
         a.rank = b.rank = 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from greenflowshop.objectives import Objectives
 from greenflowshop.pareto import (
     Individual,
-    crowded_compare,
     crowding_distance,
     dominates,
     fast_nondominated_sort,
@@ -164,27 +163,6 @@ class TestCrowdingDistance:
         fast_nondominated_sort(pop_a)
         fast_nondominated_sort(pop_b)
         assert [i.rank for i in pop_a] == [i.rank for i in pop_b]
-
-
-class TestCrowdedCompare:
-    def test_rank_wins(self):
-        a, b = ind(1, 1), ind(2, 2)
-        a.rank, b.rank = 1, 2
-        a.crowding = b.crowding = 1.0
-        assert crowded_compare(a, b) == -1
-        assert crowded_compare(b, a) == 1
-
-    def test_crowding_breaks_rank_tie(self):
-        a, b = ind(1, 1), ind(2, 2)
-        a.rank = b.rank = 1
-        a.crowding, b.crowding = math.inf, 4.0
-        assert crowded_compare(a, b) == -1
-
-    def test_full_tie(self):
-        a, b = ind(1, 1), ind(2, 2)
-        a.rank = b.rank = 1
-        a.crowding = b.crowding = 4.0
-        assert crowded_compare(a, b) == 0
 
 
 def test_rank_population_assigns_everything():
