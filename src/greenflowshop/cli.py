@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 contract violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from pathlib import Path
@@ -205,19 +206,13 @@ def _cmd_tune(args) -> int:
              for response in ("flowtime", "energy")}
     _check_outputs(*paths["flowtime"], *paths["energy"])
     instance = _load_instance(args)
-    design = tuning.build_l16()
-    # the design rows set population, generations and both probabilities
-    base = RunConfig(ls_enabled=args.ls == "on")
-    campaign = tuning.run_design(design, instance, args.seed, base, kappa=args.kappa)
+    campaign = tuning.run_design(instance, args.seed, args.ls == "on", kappa=args.kappa)
     tables = {}
     for response, responses in campaign.items():
-        table = tuning.response_table(design, responses)
+        table = tuning.response_table(responses)
         tables[response] = table
         rows_path, table_path = paths[response]
-        with open(rows_path, "w", encoding="utf-8") as fh:
-            fh.write("gen,pop,crossover,mutation,response\n")
-            for row, value in zip(design.rows, responses):
-                fh.write(f"{row.gen},{row.pop},{row.crossover},{row.mutation},{value!r}\n")
+        Path(rows_path).write_text(tuning.responses_csv(responses), encoding="utf-8")
         Path(table_path).write_text(tuning.response_table_csv(table), encoding="utf-8")
         print(f"wrote {rows_path} and {table_path}")
     picked = tuning.pick_best_params(tables["flowtime"], tables["energy"])
@@ -254,9 +249,10 @@ def _cmd_report(args) -> int:
         harness.write_aggregates_csv(args.out, aggregates)
         print(f"wrote {args.out}")
     else:
-        print("problem,avg_pct_ft,avg_pct_ec")
-        for label, pct_ft, pct_ec in aggregates:
-            print(f"{label},{pct_ft:.2f},{pct_ec:.2f}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["problem", "avg_pct_ft", "avg_pct_ec"])
+        writer.writerows([label, f"{pct_ft:.2f}", f"{pct_ec:.2f}"]
+                         for label, pct_ft, pct_ec in aggregates)
     return 0
 
 

@@ -348,6 +348,8 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError("processing times must be integers", lineno) from None
         if len(row) != m:
             raise InstanceFormatError(f"expected {m} times per job row", lineno)
+        if min(row) < 0:
+            raise InstanceFormatError("processing times must be non-negative", lineno)
         times.append(row)
     lineno, line = rows[n + 1]
     try:
@@ -356,10 +358,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("power row must be numeric", lineno) from None
     if len(powers) != m:
         raise InstanceFormatError(f"expected {m} power values", lineno)
-    try:
-        return Instance.from_matrix(times, powers)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    if not all(0 < p < math.inf for p in powers):
+        raise InstanceFormatError("fixed powers must be positive and finite", lineno)
+    return Instance.from_matrix(times, powers)
 
 
 def format_instance(instance: Instance) -> str:

@@ -214,12 +214,13 @@ def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
     return best, archive
 
 
-def is_orthogonal(design) -> bool:
+def is_orthogonal(rows) -> bool:
     """Every ordered factor pair shows each level combination exactly once."""
-    for fa in range(len(design.factors)):
-        for fb in range(fa + 1, len(design.factors)):
-            combos = {(row[fa], row[fb]) for row in design.rows}
-            if len(combos) != len(design.rows):
+    width = len(rows[0])
+    for fa in range(width):
+        for fb in range(fa + 1, width):
+            combos = {(row[fa], row[fb]) for row in rows}
+            if len(combos) != len(rows):
                 return False
     return True
 

@@ -21,7 +21,7 @@ from greenflowshop.nsga2 import RunConfig, evolve, order_crossover, swap_mutatio
 from greenflowshop.objectives import Objectives, evaluate, simulate_oracle
 from greenflowshop.pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 from greenflowshop.seeding import Draws
-from greenflowshop.tuning import build_l16, response_table
+from greenflowshop.tuning import response_table
 from support import (
     EC_RANKS,
     EC_RESPONSES,
@@ -125,9 +125,8 @@ def test_criterion_4_reference_instance_stochastic():
 
 
 def test_criterion_5_tuning_analytics_golden():
-    design = build_l16()
-    ft = response_table(design, FT_RESPONSES)
-    ec = response_table(design, EC_RESPONSES)
+    ft = response_table(FT_RESPONSES)
+    ec = response_table(EC_RESPONSES)
     ok = True
     for factor, expected in FT_TABLE.items():
         for got, want in zip(ft.means[factor], expected):

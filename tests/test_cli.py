@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shlex
@@ -27,6 +28,7 @@ from greenflowshop.instance import (
     taillard_instance,
 )
 from greenflowshop.nsga2 import RunConfig, evolve
+from greenflowshop.seeding import STREAM_TUNING, child_seed
 from support import verify_front_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -260,6 +262,16 @@ class TestSolve:
         assert run(["solve", "--instance", str(bad)]) == 3
         assert "line 1: header must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("1 1\n-4\n5\n", "line 2: processing times must be non-negative"),
+        ("1 1\n4\nnan\n", "line 3: fixed powers must be positive and finite"),
+    ], ids=["negative-time", "nan-power"])
+    def test_bad_native_value_names_its_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(["solve", "--instance", str(bad)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_malformed_native_file_reports_native_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 2\n4 9\n3 x\n3 5\n900 1100\n")
@@ -404,6 +416,23 @@ class TestReport:
     def test_missing_records_file(self, tmp_path):
         assert run(["report", "--records", str(tmp_path / "none.csv")]) == 2
 
+    def test_stdout_quotes_labels_like_the_out_file(self, tmp_path, capsys):
+        paths = [tmp_path / "a,b.txt", tmp_path / 'say "hi".txt']
+        for path in paths:
+            path.write_text("2 2\n3 4\n2 5\n600 1200\n")
+        bench_csv = tmp_path / "bench.csv"
+        assert run(["bench", *map(str, paths), "--pop", "4", "--gen", "2", "--runs", "1",
+                    "--out", str(bench_csv)]) == 0
+        agg = tmp_path / "agg.csv"
+        assert run(["report", "--records", str(bench_csv), "--out", str(agg)]) == 0
+        capsys.readouterr()
+        assert run(["report", "--records", str(bench_csv)]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        with open(agg, newline="") as fh:
+            written = list(csv.reader(fh))
+        assert printed == written
+        assert [row[0] for row in printed] == ["problem", "a,b", 'say "hi"', "overall"]
+
     @pytest.mark.parametrize("text,field", [
         ("problem,dataset,ft1,ec1,ft2,ec2,pct_ft\nt,1,18,40.0,18,40.0,0.00\n", "pct_ec"),
         ("problem,dataset,ft1,ec1,ft2,ec2,pct_ft,pct_ec\n"
@@ -446,24 +475,28 @@ _TUNE_FILES = {
 }
 
 
+def _tune_campaign(tmp_path, *flags, solve=evolve):
+    """One `tune` run on a 3x2 shop, recording the config of each solver
+    run; `solve` makes the front that each run returns."""
+    inst_path = tmp_path / "tiny.txt"
+    inst_path.write_text("3 2\n4 9\n7 2\n3 5\n900 1100\n")
+    solves = []
+
+    def counted_evolve(instance, config, *args):
+        solves.append(config)
+        return solve(instance, config, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "evolve", counted_evolve)
+        code = run(["tune", "--instance", str(inst_path), "--seed", "2", *flags,
+                    "--out", str(tmp_path / "camp")])
+    return SimpleNamespace(code=code, dir=tmp_path, solves=solves)
+
+
 class TestTune:
     @pytest.fixture(scope="class")
     def campaign(self, tmp_path_factory):
-        """One `tune` run on a 3x2 shop, counting the solver runs it makes."""
-        tmp_path = tmp_path_factory.mktemp("tune")
-        inst_path = tmp_path / "tiny.txt"
-        inst_path.write_text("3 2\n4 9\n7 2\n3 5\n900 1100\n")
-        solves = []
-
-        def counted_evolve(instance, config, *args):
-            solves.append(config)
-            return evolve(instance, config, *args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tuning, "evolve", counted_evolve)
-            code = run(["tune", "--instance", str(inst_path), "--seed", "2",
-                        "--ls", "off", "--out", str(tmp_path / "camp")])
-        return SimpleNamespace(code=code, dir=tmp_path, solves=solves)
+        return _tune_campaign(tmp_path_factory.mktemp("tune"), "--ls", "off")
 
     def test_small_campaign_writes_tables(self, campaign):
         assert campaign.code == 0
@@ -477,9 +510,20 @@ class TestTune:
 
     def test_one_solve_per_design_row(self, campaign):
         assert len(campaign.solves) == 16
-        rows = tuning.build_l16().rows
         assert [(c.generations, c.pop_size, c.p_crossover, c.p_mutation)
-                for c in campaign.solves] == [tuple(row) for row in rows]
+                for c in campaign.solves] == [tuple(row) for row in tuning.L16]
+        assert [c.seed for c in campaign.solves] == [
+            child_seed(2, STREAM_TUNING, k) for k in range(16)
+        ]
+
+    def test_ls_flag_reaches_every_solve(self, campaign, tmp_path):
+        assert [c.ls_enabled for c in campaign.solves] == [False] * 16
+        # the default run's fronts come from a two-member population: only
+        # the configs it records are checked
+        default = _tune_campaign(tmp_path, solve=lambda instance, config, *args: evolve(
+            instance, RunConfig(pop_size=2, generations=0, ls_enabled=False), *args))
+        assert default.code == 0
+        assert [c.ls_enabled for c in default.solves] == [True] * 16
 
     def test_output_bytes_pinned(self, campaign):
         got = {

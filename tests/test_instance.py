@@ -251,6 +251,21 @@ class TestNativeFormat:
         with pytest.raises(InstanceFormatError, match=f"^line {line}: header must be"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("text,line", [
+        ("1 1\n-4\n5\n", 2), ("2 2\n3 4\n2 -1\n600 1200\n", 3),
+        ("# shop\n2 1\n\n-3\n4\n5\n", 4),
+    ])
+    def test_negative_time_rejected_on_its_job_row(self, text, line):
+        with pytest.raises(InstanceFormatError, match="non-negative") as err:
+            parse_instance(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("power", ["0", "-1", "nan", "inf", "1e400"])
+    def test_bad_power_rejected_on_the_power_row(self, power):
+        with pytest.raises(InstanceFormatError, match="positive and finite") as err:
+            parse_instance(f"1 2\n4 6\n# powers\n600 {power}\n")
+        assert err.value.line == 4
+
 
 class TestInstanceValidation:
     def test_zero_power_rejected(self):
