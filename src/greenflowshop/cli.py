@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 contract violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -103,7 +102,15 @@ def _config(args) -> RunConfig:
         p_mutation=args.pm,
         seed=args.seed,
         ls_enabled=args.ls == "on",
+        kappa=args.kappa,
     )
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _power_source(spec: str):
@@ -112,7 +119,7 @@ def _power_source(spec: str):
     if spec == "table9":
         return default_powers
     values = []
-    for token in Path(spec).read_text(encoding="utf-8").split():
+    for token in _read_text(spec).split():
         try:
             value = float(token)
         except ValueError:
@@ -146,7 +153,7 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
             harness.BenchTask("Ta20x5", k, taillard_instance(20, 5, k, powers(5)))
             for k in range(1, len(TAILLARD_TIME_SEEDS[20, 5]) + 1)
         ]
-    text = Path(spec).read_text(encoding="utf-8")
+    text = _read_text(spec)
     label = Path(spec).stem
     if not is_taillard(text):
         return [harness.BenchTask(label, 1, parse_instance(text))]
@@ -157,14 +164,18 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
 
 
 def _check_outputs(*paths) -> None:
-    """Raise OSError for the first given path that cannot be written as a
-    file because its directory is missing or it is a directory.  Called
-    before any solver work; it creates nothing."""
+    """Raise OSError for the first given path that is a directory, lies in
+    a missing one or names the same file as an earlier path.  Called before
+    any solver work; it creates nothing."""
+    seen = set()
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise OSError(f"output path {path} is a directory")
         if not Path(path).parent.is_dir():
             raise OSError(f"output path {path}: no such directory")
+        if Path(path).resolve() in seen:
+            raise OSError(f"output path {path} names the same file as another output")
+        seen.add(Path(path).resolve())
 
 
 def _load_instance(args) -> Instance:
@@ -187,14 +198,10 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     _check_outputs(args.out, args.json)
     instance = _load_instance(args)
-    front = evolve(instance, _config(args), kappa=args.kappa)
+    front = evolve(instance, _config(args))
+    harness.write_front_csv(args.out, front)
     if args.out:
-        harness.write_front_csv(args.out, front)
         print(f"wrote {args.out} ({len(front)} front points)")
-    else:
-        print("sequence,flowtime,energy_whr")
-        for ind in front:
-            print(f"{harness.sequence_str(ind.perm)},{ind.obj.flowtime},{ind.obj.energy!r}")
     if args.json:
         harness.write_front_json(args.json, front)
     return 0
@@ -228,9 +235,7 @@ def _cmd_bench(args) -> int:
     def progress(task, done, total):
         print(f"{task.problem} #{task.dataset}: run {done}/{total}", file=sys.stderr)
 
-    records = harness.run_benchmark(
-        tasks, _config(args), args.runs, kappa=args.kappa, on_progress=progress
-    )
+    records = harness.run_benchmark(tasks, _config(args), args.runs, on_progress=progress)
     harness.write_bench_csv(out, records)
     if args.json:
         harness.write_bench_json(args.json, records)
@@ -245,14 +250,9 @@ def _cmd_report(args) -> int:
     if not records:
         raise ValueError(f"no records in {args.records}")
     aggregates = harness.aggregate_records(records)
+    harness.write_aggregates_csv(args.out, aggregates)
     if args.out:
-        harness.write_aggregates_csv(args.out, aggregates)
         print(f"wrote {args.out}")
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["problem", "avg_pct_ft", "avg_pct_ec"])
-        writer.writerows([label, f"{pct_ft:.2f}", f"{pct_ec:.2f}"]
-                         for label, pct_ft, pct_ec in aggregates)
     return 0
 
 

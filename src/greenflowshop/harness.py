@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
 from .instance import Instance
 from .nsga2 import RunConfig, evolve
-from .objectives import DEFAULT_KAPPA
 from .pareto import Individual, fast_nondominated_sort, unique_sorted
 from .seeding import STREAM_BENCH, child_seed
 
@@ -113,7 +114,6 @@ def run_benchmark(
     tasks: list[BenchTask],
     config: RunConfig,
     repeats: int,
-    kappa: float = DEFAULT_KAPPA,
     on_progress=None,
 ) -> list[BenchRecord]:
     """Solve every task `repeats` times, merge each task's fronts into one
@@ -129,7 +129,7 @@ def run_benchmark(
         fronts = []
         for r in range(repeats):
             run_seed = child_seed(config.seed, STREAM_BENCH, t, r)
-            fronts.append(evolve(task.instance, replace(config, seed=run_seed), kappa))
+            fronts.append(evolve(task.instance, replace(config, seed=run_seed)))
             if on_progress is not None:
                 on_progress(task, r + 1, repeats)
         records.append(make_record(task.problem, task.dataset, merge_fronts(fronts)))
@@ -176,8 +176,9 @@ def sequence_str(perm) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    """Header and rows to the file `path` (CRLF) or, if it is empty, stdout (LF)."""
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -216,27 +217,30 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    """Records of a `write_bench_csv` file.  A missing column, a short row,
-    an unreadable value or a float that is not finite raises ValueError
-    naming the file, the line and the field."""
+    """Records of a `write_bench_csv` file.  Text that is not UTF-8, a
+    missing column, a short row, an unreadable value or a float that is not
+    finite raises ValueError naming the file (and the line and the field)."""
     columns = get_type_hints(BenchRecord)  # field name -> str, int or float
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            values = {}
-            for name, parse in columns.items():
-                text = row.get(name)
-                if text is None:
-                    raise ValueError(f"{where}: missing field {name!r}")
-                try:
-                    values[name] = value = parse(text)
-                    if parse is float and not math.isfinite(value):
-                        raise ValueError  # `bench` never writes one
-                except ValueError:
-                    raise ValueError(f"{where}: bad {name!r} value {text!r}") from None
-            records.append(BenchRecord(**values))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                values = {}
+                for name, parse in columns.items():
+                    text = row.get(name)
+                    if text is None:
+                        raise ValueError(f"{where}: missing field {name!r}")
+                    try:
+                        values[name] = value = parse(text)
+                        if parse is float and not math.isfinite(value):
+                            raise ValueError  # `bench` never writes one
+                    except ValueError:
+                        raise ValueError(f"{where}: bad {name!r} value {text!r}") from None
+                records.append(BenchRecord(**values))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return records
 
 

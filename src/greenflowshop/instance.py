@@ -173,9 +173,10 @@ def generate_taillard_times(
 ) -> tuple[tuple[int, ...], ...]:
     """Rebuild a benchmark time matrix from its published time seed.
 
-    Uses Taillard's portable linear congruential generator (a=16807,
-    m=2^31-1, Schrage decomposition); values are drawn machine-major as in
-    the original generator, then transposed to job-major.
+    Uses Taillard's linear congruential generator (a=16807, m=2^31-1;
+    Python integers need no Schrage decomposition against overflow); values
+    are drawn machine-major as in the original generator, then transposed
+    to job-major.
     """
     if time_seed <= 0:
         raise ValueError("time seeds are positive")
@@ -184,16 +185,10 @@ def generate_taillard_times(
     for _ in range(n_machines):
         row = []
         for _ in range(n_jobs):
-            k = seed // 127773
-            seed = 16807 * (seed % 127773) - 2836 * k
-            if seed < 0:
-                seed += 2147483647
+            seed = seed * 16807 % 2147483647
             row.append(1 + int(seed / 2147483647 * 99))
         machine_major.append(row)
-    return tuple(
-        tuple(machine_major[j][i] for j in range(n_machines))
-        for i in range(n_jobs)
-    )
+    return tuple(zip(*machine_major))
 
 
 def taillard_instance(

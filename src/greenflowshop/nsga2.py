@@ -71,6 +71,7 @@ class RunConfig:
     p_mutation: float = 0.05
     seed: int = 0
     ls_enabled: bool = True
+    kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
         if self.pop_size < 2:
@@ -81,17 +82,17 @@ class RunConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
 
 
-def init_population(
-    instance: Instance, config: RunConfig, kappa: float = DEFAULT_KAPPA
-) -> list[Individual]:
+def init_population(instance: Instance, config: RunConfig) -> list[Individual]:
     """Uniformly random evaluated permutations, one shuffle per member."""
     rng = stream(config.seed, STREAM_INIT)
     pop = []
     for _ in range(config.pop_size):
         perm = tuple(int(x) for x in rng.permutation(instance.n_jobs))
-        pop.append(Individual(perm, evaluate(instance, perm, kappa)))
+        pop.append(Individual(perm, evaluate(instance, perm, config.kappa)))
     return pop
 
 
@@ -162,7 +163,6 @@ def _make_offspring(
     pop: list[Individual],
     config: RunConfig,
     draws: Draws,
-    kappa: float,
 ) -> list[Individual]:
     """Tournament pairs, order crossover with probability `p_crossover`,
     then swap mutation per child with probability `p_mutation`.
@@ -189,7 +189,7 @@ def _make_offspring(
             perm = swap_mutation(perm, draws)
         obj = priced.get(perm)
         if obj is None:
-            obj = priced[perm] = evaluate(instance, perm, kappa)
+            obj = priced[perm] = evaluate(instance, perm, config.kappa)
         offspring.append(Individual(perm, obj))
     return offspring
 
@@ -251,29 +251,25 @@ def _apply_local_search(
 def evolve(
     instance: Instance,
     config: RunConfig,
-    kappa: float = DEFAULT_KAPPA,
     on_generation: Callable[[int, list[Individual], list[Individual]], None] | None = None,
 ) -> list[Individual]:
     """Run the full generational loop and return the final best front,
     deduplicated by objective pair and sorted by (flowtime, energy).
 
     `on_generation(gen, merged_pool, population)` is invoked after each
-    generation's survivor selection, for tracing and tests.  A `kappa` that
-    is not positive and finite raises ValueError before any work starts.
+    generation's survivor selection, for tracing and tests.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    pop = init_population(instance, config, kappa)
+    pop = init_population(instance, config)
     rank_population(pop)
     stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
         var_draws = Draws(stream(config.seed, STREAM_VARIATION, gen))
-        offspring = _make_offspring(instance, pop, config, var_draws, kappa)
+        offspring = _make_offspring(instance, pop, config, var_draws)
         merged = pop + offspring
         fronts = rank_population(merged)
         if config.ls_enabled:
             ls_draws = Draws(stream(config.seed, STREAM_LOCAL, gen))
-            stores = _apply_local_search(merged, fronts, instance, ls_draws, kappa, stores)
+            stores = _apply_local_search(merged, fronts, instance, ls_draws, config.kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
         if on_generation is not None:

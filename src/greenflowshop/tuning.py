@@ -82,8 +82,9 @@ def run_design(
 ) -> dict[str, list[float]]:
     """One solver run per L16 row, read for both responses: `flowtime`
     lists each row front's best flowtime and `energy` its best energy.
-    A row runs its four factors with `ls_enabled` and a seed derived from
-    `seed`, so a rerun with the same seed reproduces every response."""
+    A row runs its four factors with `ls_enabled`, `kappa` and a seed
+    derived from `seed`, so a rerun with the same seed reproduces every
+    response."""
     out: dict[str, list[float]] = {"flowtime": [], "energy": []}
     for k, row in enumerate(L16):
         config = RunConfig(
@@ -93,8 +94,9 @@ def run_design(
             p_mutation=row.mutation,
             seed=child_seed(seed, STREAM_TUNING, k),
             ls_enabled=ls_enabled,
+            kappa=kappa,
         )
-        front = evolve(instance, config, kappa)
+        front = evolve(instance, config)
         out["flowtime"].append(float(min(ind.obj.flowtime for ind in front)))
         out["energy"].append(min(ind.obj.energy for ind in front))
     return out

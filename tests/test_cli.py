@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from greenflowshop.instance import (
     taillard_instance,
 )
 from greenflowshop.nsga2 import RunConfig, evolve
+from greenflowshop.objectives import DEFAULT_KAPPA
 from greenflowshop.seeding import STREAM_TUNING, child_seed
 from support import verify_front_csv
 
@@ -37,6 +39,15 @@ TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
 def run(argv):
     return cli(argv)
+
+
+def _no_solver(monkeypatch):
+    """Make every `evolve` binding the CLI reaches fail the test if called."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    for module in (cli_module, tuning, harness_module):
+        monkeypatch.setattr(module, "evolve", no_solve)
 
 
 class TestDefaults:
@@ -278,11 +289,22 @@ class TestSolve:
         assert run(["solve", "--instance", str(bad), "--pop", "4", "--gen", "1"]) == 3
         assert "line 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf"])
-    def test_kappa_not_positive_and_finite_is_contract_error(self, kappa, capsys):
-        assert run(["solve", "--instance", "table3", "--pop", "4", "--gen", "1",
-                    "--kappa", kappa]) == 3
+    # `solve`'s cases are identified by the bare kappa value
+    @pytest.mark.parametrize("argv,kappa", [
+        pytest.param(argv, kappa, id=kappa if argv[0] == "solve" else f"{argv[0]}-{kappa}")
+        for argv in (["solve", "--instance", "table3", "--pop", "4", "--gen", "1"],
+                     ["bench", "table3", "--pop", "4", "--gen", "1", "--runs", "1"],
+                     ["tune", "--instance", "table3"])
+        for kappa in ("0", "-1", "nan", "inf")
+    ])
+    def test_kappa_not_positive_and_finite_is_contract_error(
+        self, tmp_path, monkeypatch, capsys, argv, kappa
+    ):
+        _no_solver(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--kappa", kappa]) == 3
         assert "kappa" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestBench:
@@ -362,6 +384,20 @@ class TestBench:
     def test_missing_file(self, tmp_path):
         assert run(["bench", str(tmp_path / "absent.txt")]) == 2
 
+    def test_kappa_reaches_every_repeat(self, tmp_path, monkeypatch):
+        inst_path = tmp_path / "toy.txt"
+        inst_path.write_text("2 2\n3 4\n2 5\n600 1200\n")
+        configs = []
+
+        def recorded_evolve(instance, config):
+            configs.append(config)
+            return evolve(instance, config)
+
+        monkeypatch.setattr(harness_module, "evolve", recorded_evolve)
+        assert run(["bench", str(inst_path), "table3", "--pop", "4", "--gen", "1",
+                    "--runs", "3", "--kappa", "0.5", "--out", str(tmp_path / "b.csv")]) == 0
+        assert [c.kappa for c in configs] == [0.5] * 6
+
     def test_builtin_ta20x5_set(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(["bench", "ta20x5", "--pop", "4", "--gen", "1", "--runs", "1",
@@ -398,6 +434,36 @@ class TestUnwritableOutput:
         assert run(shlex.split(argv.format(tmp=tmp_path))) == 2
         assert bad.format(tmp=tmp_path) in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv, bad", [
+        ("solve --instance table3 --out {tmp}/same.json --json {tmp}/same.json",
+         "{tmp}/same.json"),
+        ("solve --instance table3 --out x.csv --json ./x.csv", "./x.csv"),
+        ("bench table3 --out {tmp}/same.json --json {tmp}/same.json", "{tmp}/same.json"),
+        ("bench table3 --json ./bench.csv", "./bench.csv"),
+    ], ids=["solve", "solve-spelled-apart", "bench", "bench-default-out"])
+    def test_one_file_named_twice_exits_2(self, tmp_path, monkeypatch, capsys, argv, bad):
+        _no_solver(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(shlex.split(argv.format(tmp=tmp_path))) == 2
+        assert bad.format(tmp=tmp_path) in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+class TestInputNotUtf8:
+    @pytest.mark.parametrize("argv", [
+        "solve --instance bad.txt",
+        "solve --instance table3 --powers bad.txt",
+        "bench toy.txt bad.txt",
+        "report --records bad.txt",
+    ], ids=["instance", "powers", "bench-instance", "records"])
+    def test_names_the_file(self, tmp_path, monkeypatch, capsys, argv):
+        _no_solver(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_bytes(b"\xff2 2\n")
+        (tmp_path / "toy.txt").write_text("2 2\n3 4\n2 5\n600 1200\n")
+        assert run(argv.split()) == 3
+        assert "greenflowshop: bad.txt: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 class TestReport:
@@ -524,6 +590,15 @@ class TestTune:
             instance, RunConfig(pop_size=2, generations=0, ls_enabled=False), *args))
         assert default.code == 0
         assert [c.ls_enabled for c in default.solves] == [True] * 16
+
+    def test_kappa_reaches_every_solve(self, campaign, tmp_path):
+        assert [c.kappa for c in campaign.solves] == [DEFAULT_KAPPA] * 16
+        # as above, each run solves a two-member population
+        halved = _tune_campaign(tmp_path, "--ls", "off", "--kappa", "0.5",
+                                solve=lambda instance, config: evolve(
+                                    instance, replace(config, pop_size=2, generations=0)))
+        assert halved.code == 0
+        assert [c.kappa for c in halved.solves] == [0.5] * 16
 
     def test_output_bytes_pinned(self, campaign):
         got = {

@@ -67,10 +67,15 @@ class TestRunConfig:
             {"p_crossover": 1.5},
             {"p_mutation": -0.1},
             {"generations": -1},
+            {"kappa": 0.0},
+            {"kappa": -1.0},
+            {"kappa": math.nan},
+            {"kappa": math.inf},
+            {"kappa": -math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             RunConfig(**kwargs)
 
 
@@ -343,15 +348,6 @@ class TestEvolve:
         front = evolve(table3, RunConfig(pop_size=10, generations=3, seed=2,
                                          ls_enabled=False))
         assert front
-
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_rejects_kappa_not_positive_and_finite(self, kappa):
-        def no_work(*args):
-            raise AssertionError("solver work started")
-
-        with pytest.raises(ValueError, match="kappa"):
-            evolve(TOY, RunConfig(pop_size=4, generations=1), kappa=kappa,
-                   on_generation=no_work)
 
 
 def _front_fingerprint(front) -> str:
