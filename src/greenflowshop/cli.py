@@ -163,19 +163,26 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
     ]
 
 
-def _check_outputs(*paths) -> None:
+def _input_files(specs, powers_spec: str) -> list[str]:
+    """The specs that name files: all but the built-ins `table3`, `ta20x5` and `table9`."""
+    files = [spec for spec in specs if spec not in ("table3", "ta20x5")]
+    return files if powers_spec == "table9" else [*files, powers_spec]
+
+
+def _check_outputs(*paths, inputs=()) -> None:
     """Raise OSError for the first given path that is a directory, lies in
-    a missing one or names the same file as an earlier path.  Called before
-    any solver work; it creates nothing."""
-    seen = set()
+    a missing one or names the same file as an earlier path or one of the
+    command's `inputs`.  Called before any solver work; it creates nothing."""
+    seen = {Path(path).resolve(): "an input" for path in inputs}
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise OSError(f"output path {path} is a directory")
         if not Path(path).parent.is_dir():
             raise OSError(f"output path {path}: no such directory")
-        if Path(path).resolve() in seen:
-            raise OSError(f"output path {path} names the same file as another output")
-        seen.add(Path(path).resolve())
+        target = Path(path).resolve()
+        if target in seen:
+            raise OSError(f"output path {path} names the same file as {seen[target]}")
+        seen[target] = "another output"
 
 
 def _load_instance(args) -> Instance:
@@ -196,7 +203,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    _check_outputs(args.out, args.json)
+    _check_outputs(args.out, args.json, inputs=_input_files([args.instance], args.powers))
     instance = _load_instance(args)
     front = evolve(instance, _config(args))
     harness.write_front_csv(args.out, front)
@@ -211,7 +218,8 @@ def _cmd_tune(args) -> int:
     prefix = args.out or "tuning"
     paths = {response: (f"{prefix}_{response}_responses.csv", f"{prefix}_{response}_table.csv")
              for response in ("flowtime", "energy")}
-    _check_outputs(*paths["flowtime"], *paths["energy"])
+    _check_outputs(*paths["flowtime"], *paths["energy"],
+                   inputs=_input_files([args.instance], args.powers))
     instance = _load_instance(args)
     campaign = tuning.run_design(instance, args.seed, args.ls == "on", kappa=args.kappa)
     tables = {}
@@ -229,7 +237,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     out = args.out or "bench.csv"
-    _check_outputs(out, args.json)
+    _check_outputs(out, args.json, inputs=_input_files(args.instances, args.powers))
     tasks = [task for spec in args.instances for task in _load_tasks(spec, args.powers)]
 
     def progress(task, done, total):
@@ -246,6 +254,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_outputs(args.out, inputs=[args.records])
     records = harness.read_bench_csv(args.records)
     if not records:
         raise ValueError(f"no records in {args.records}")

@@ -130,10 +130,10 @@ def _minutes(t) -> int:
 
 
 def check_permutation(perm, n_jobs: int) -> None:
-    """Raise ValueError unless `perm` is a bijection on 0..n_jobs-1."""
+    """Raise ValueError unless `perm` is a bijection on 0..n_jobs-1: n_jobs items covering it."""
     if len(perm) != n_jobs:
         raise ValueError(f"permutation length {len(perm)} != {n_jobs} jobs")
-    if set(perm) != set(range(n_jobs)):
+    if not set(perm).issuperset(range(n_jobs)):
         raise ValueError("permutation is not a bijection on the job set")
 
 

@@ -1,6 +1,7 @@
 """Schedule evaluation: total flowtime and standby energy of a permutation
-in one pass, plus an independent discrete-event simulation used to
-cross-check it.
+in one pass of a recurrence compiled once per machine count, with each
+machine's free time in a local variable, plus an independent discrete-event
+simulation, sharing no code with it, used to cross-check it.
 
 All durations are integer minutes and summed exactly; energy converts the
 accumulated power-minutes to Whr once, via a single multiplicative constant
@@ -17,6 +18,7 @@ swap, reversal and reinsertion neighbours of its incumbent.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import NamedTuple
 
@@ -49,32 +51,31 @@ class Prefix(NamedTuple):
     states: list[tuple[tuple[int, ...], int]]
 
 
-def _advance(instance: Instance, perm, start: int, free: list[int], flowtime: int,
-             states: list | None = None) -> int:
-    """Schedule `perm[start:]` after a state; return the flowtime.
-
+@functools.lru_cache(maxsize=None, typed=True)
+def _kernel(m: int):
+    """`advance(pt, perm, start, free, flowtime, states=None)` for `m`
+    machines: schedule `perm[start:]` after a state, return the flowtime.
     `free[j]` is the time machine j comes free (updated in place).  A job
     starts on machine 1 as soon as it is free and reaches each later
     machine when it leaves the one before, starting once both it and the
-    machine are there.  With `states`, the state after each job is
-    appended to it.
-    """
-    pt = instance.proc_time
-    later = range(1, instance.n_machines)
+    machine are there; with `states`, the state after each job is appended
+    to it.  Source made from `m` alone: free times in `f{j}`, job times in `p{j}`."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"kernel machine count must be a positive int, got {m!r}")
+    free, row = (", ".join(f"{v}{j}" for j in range(m)) + "," for v in "fp")
+    step = "\n        if c < f{0}: c = f{0}\n        c = f{0} = c + p{0}"
+    namespace = {}
+    exec(f"""def advance(pt, perm, start, free, flowtime, states=None):
+    {free} = free
     for job in perm[start:]:
-        row = pt[job]
-        c = free[0] + row[0]  # completion on machine 1, which never waits
-        free[0] = c
-        for j in later:
-            f = free[j]
-            if c < f:
-                c = f
-            c += row[j]
-            free[j] = c
+        {row} = pt[job]
+        c = f0 = f0 + p0{"".join(step.format(j) for j in range(1, m))}
         flowtime += c
         if states is not None:
-            states.append((tuple(free), flowtime))
-    return flowtime
+            states.append((({free}), flowtime))
+    free[:] = {free}
+    return flowtime""", namespace)
+    return namespace["advance"]
 
 
 def _resume(instance: Instance, perm, prefix: Prefix | None) -> tuple[int, list[int], int]:
@@ -96,7 +97,7 @@ def schedule_prefix(instance: Instance, perm, base: Prefix | None = None) -> Pre
     the states it shares with a `base` of the same instance are reused."""
     k, free, flowtime = _resume(instance, perm, base)
     states = [(tuple(free), 0)] if base is None else base.states[: k + 1]
-    _advance(instance, perm, k, free, flowtime, states)
+    _kernel(instance.n_machines)(instance.proc_time, perm, k, free, flowtime, states)
     return Prefix(tuple(perm), states)
 
 
@@ -114,7 +115,7 @@ def evaluate(
     """
     check_permutation(perm, instance.n_jobs)
     k, free, flowtime = _resume(instance, perm, prefix)
-    flowtime = _advance(instance, perm, k, free, flowtime)
+    flowtime = _kernel(instance.n_machines)(instance.proc_time, perm, k, free, flowtime)
     power, load = instance.fixed_power, instance.machine_load
     power_minutes = 0.0
     for j in range(1, instance.n_machines):

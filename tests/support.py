@@ -106,6 +106,27 @@ def reference_ox_child(keeper, donor, lo, hi):
     return tuple(child)
 
 
+def reference_states(instance: Instance, perm) -> list[tuple[tuple[int, ...], int]]:
+    """`schedule_prefix(instance, perm).states` by the plain loop over
+    machines that the compiled kernel replaced: a list of free times read
+    and written once per machine per job."""
+    free, flowtime = [0] * instance.n_machines, 0
+    states = [(tuple(free), flowtime)]
+    for job in perm:
+        row = instance.proc_time[job]
+        c = free[0] + row[0]
+        free[0] = c
+        for j in range(1, instance.n_machines):
+            f = free[j]
+            if c < f:
+                c = f
+            c += row[j]
+            free[j] = c
+        flowtime += c
+        states.append((tuple(free), flowtime))
+    return states
+
+
 def random_instance(rng: random.Random, n_jobs: int, n_machines: int) -> Instance:
     times = [[rng.randint(1, 99) for _ in range(n_machines)] for _ in range(n_jobs)]
     powers = [rng.randint(700, 1500) for _ in range(n_machines)]

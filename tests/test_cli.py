@@ -449,6 +449,32 @@ class TestUnwritableOutput:
         assert bad.format(tmp=tmp_path) in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, bad", [
+        ("solve --instance toy.txt --out toy.txt", "toy.txt"),
+        ("solve --instance table3 --powers toy.txt --json ./toy.txt", "./toy.txt"),
+        ("bench toy.txt --out toy.txt", "toy.txt"),
+        ("bench table3 toy.txt --json ./toy.txt", "./toy.txt"),
+        ("report --records r.csv --out r.csv", "r.csv"),
+        ("report --records r.csv --out ./r.csv", "./r.csv"),
+    ], ids=["solve-instance", "solve-powers-spelled-apart", "bench-instance",
+            "bench-json-spelled-apart", "report-records", "report-spelled-apart"])
+    def test_output_naming_an_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, bad):
+        _no_solver(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.txt").write_text("2 2\n3 4\n2 5\n600 1200\n")
+        (tmp_path / "r.csv").write_text("not read before the outputs are checked\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(argv.split()) == 2
+        assert f"output path {bad} names the same file as an input" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("out", ["table3", "table9"])
+    def test_builtin_names_are_not_input_files(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", "--instance", "table3", "--pop", "4", "--gen", "1",
+                    "--out", out]) == 0
+        assert verify_front_csv(tmp_path / out, load_table3())
+
 
 class TestInputNotUtf8:
     @pytest.mark.parametrize("argv", [

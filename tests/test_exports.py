@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import greenflowshop
+from greenflowshop import objectives
 
 MODULES = ["greenflowshop"] + [
     f"greenflowshop.{info.name}" for info in pkgutil.iter_modules(greenflowshop.__path__)
@@ -36,3 +37,37 @@ def test_only_seeding_imports_numpy():
         path.stem for path in package.glob("*.py") if "numpy" in _imported_roots(path)
     )
     assert importers == ["seeding"]
+
+
+def test_exec_and_eval_only_in_the_kernel_builder():
+    # the one place that compiles source, which it builds from a machine
+    # count alone
+    package = Path(greenflowshop.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {id(node): "<module>" for node in ast.walk(tree)}
+        for func in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope.update((id(node), getattr(func, "name", "<lambda>"))
+                             for node in ast.walk(func))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("exec", "eval"):
+                uses.append((path.stem, scope[id(node)], name))
+    assert uses == [("objectives", "_kernel", "exec")]
+
+
+@pytest.mark.parametrize("m", [0, -3, 1.0, 2.5, True, "3", None])
+def test_kernel_rejects_a_bad_machine_count_before_building(m, monkeypatch):
+    for built in (1, 2):  # a cached int must not answer for 1.0 or True
+        objectives._kernel(built)
+
+    def no_exec(*args, **kwargs):
+        raise AssertionError("source was compiled")
+
+    monkeypatch.setattr(objectives, "exec", no_exec, raising=False)
+    with pytest.raises(ValueError, match="positive int"):
+        objectives._kernel(m)

@@ -9,6 +9,7 @@ from greenflowshop.instance import (
     Instance,
     InstanceFormatError,
     TABLE9_POWERS,
+    check_permutation,
     count_taillard_blocks,
     default_powers,
     format_instance,
@@ -425,3 +426,23 @@ class TestParserFuzz:
     def test_any_text(self, text):
         _check_native(text)
         _check_taillard(text)
+
+
+class TestCheckPermutation:
+    @given(st.lists(st.integers(-1, 6) | st.sampled_from([0.0, 1.0, 2.5]), max_size=6),
+           st.integers(0, 6))
+    @example([0, 1, 1], 3)
+    @example([0, 1, 2.0], 3)
+    @example([0, 1, 3], 3)
+    def test_accepts_exactly_the_bijections(self, perm, n_jobs):
+        # the rule as first written: right length and the same set as the jobs
+        if len(perm) != n_jobs:
+            message = f"permutation length {len(perm)} != {n_jobs} jobs"
+        elif set(perm) != set(range(n_jobs)):
+            message = "permutation is not a bijection on the job set"
+        else:
+            check_permutation(perm, n_jobs)
+            return
+        with pytest.raises(ValueError) as info:
+            check_permutation(perm, n_jobs)
+        assert str(info.value) == message

@@ -12,7 +12,7 @@ from greenflowshop.objectives import (
     schedule_prefix,
     simulate_oracle,
 )
-from support import random_instance
+from support import random_instance, reference_states
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -197,3 +197,28 @@ class TestPrefix:
         prefix = schedule_prefix(TOY, (0, 1))
         with pytest.raises(ValueError):
             evaluate(TOY, (0, 0), prefix=prefix)
+
+
+class TestEveryMachineCount:
+    """Each machine count compiles its own kernel; `shops()` draws at most
+    five machines, so wider shops (and m = 1, whose row unpacks through a
+    trailing comma) are pinned here."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 10, 20, 33])
+    def test_kernel_matches_oracle_and_reference(self, m):
+        rng = random.Random(m)
+        for n in (1, 2, 9):
+            # zero times included: about a third of the operations take none
+            times = [[rng.choice((0, rng.randint(1, 99), rng.randint(1, 99)))
+                      for _ in range(m)] for _ in range(n)]
+            powers = [rng.uniform(0.5, 5000.0) for _ in range(m)]
+            inst = Instance.from_matrix(times, powers)
+            perm = tuple(rng.sample(range(n), n))
+            got, expected = evaluate(inst, perm), simulate_oracle(inst, perm)
+            assert got.flowtime == expected.flowtime
+            assert repr(got.energy) == repr(expected.energy)
+            prefix = schedule_prefix(inst, perm)
+            assert prefix.states == reference_states(inst, perm)
+            other = reverse_window(perm, n // 2, n)  # shares its first n // 2 jobs
+            assert evaluate(inst, other, prefix=prefix) == evaluate(inst, other)
+            assert schedule_prefix(inst, other, prefix) == schedule_prefix(inst, other)
