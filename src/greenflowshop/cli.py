@@ -25,12 +25,11 @@ from .instance import (
     is_taillard,
     load_table3,
     parse_instance,
-    parse_taillard_blocks,
+    parse_taillard,
     taillard_instance,
 )
-# The loader reads a Taillard file in one `parse_taillard_blocks` pass; the
-# per-block parsers stay bound here because perfbench wraps them by name.
-from .instance import count_taillard_blocks, parse_taillard  # noqa: F401
+# Bound only because perfbench wraps it by name.
+from .instance import count_taillard_blocks  # noqa: F401
 from .nsga2 import RunConfig, evolve
 from .objectives import DEFAULT_KAPPA
 
@@ -159,7 +158,7 @@ def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
         return [harness.BenchTask(label, 1, parse_instance(text))]
     return [
         harness.BenchTask(label, k, Instance.from_matrix(times, powers(len(times[0]))))
-        for k, times in enumerate(parse_taillard_blocks(text), start=1)
+        for k, times in enumerate(parse_taillard(text), start=1)
     ]
 
 

@@ -152,14 +152,10 @@ def aggregate_records(
 ) -> list[tuple[str, float, float]]:
     """Per-problem average percentage rows plus one overall row, in first-seen
     problem order; overall averages the per-problem averages."""
-    order: list[str] = []
     grouped: dict[str, list[tuple[float, float]]] = {}
     for rec in records:
-        if rec.problem not in grouped:
-            order.append(rec.problem)
-            grouped[rec.problem] = []
-        grouped[rec.problem].append((rec.pct_ft, rec.pct_ec))
-    out = [(label, *average_pcts(grouped[label])) for label in order]
+        grouped.setdefault(rec.problem, []).append((rec.pct_ft, rec.pct_ec))
+    out = [(label, *average_pcts(pairs)) for label, pairs in grouped.items()]
     if out:
         out.append(("overall", *average_pcts([(ft, ec) for _, ft, ec in out])))
     return out

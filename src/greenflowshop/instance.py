@@ -27,7 +27,6 @@ __all__ = [
     "load_table3",
     "parse_instance",
     "parse_taillard",
-    "parse_taillard_blocks",
     "format_instance",
     "taillard_instance",
 ]
@@ -93,8 +92,8 @@ class Instance:
     machine_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_jobs < 1 or self.n_machines < 1:
-            raise ValueError("instance needs at least one job and one machine")
+        if not all(type(n) is int and n >= 1 for n in (self.n_jobs, self.n_machines)):
+            raise ValueError("n_jobs and n_machines must be ints of at least 1")
         if len(self.proc_time) != self.n_jobs:
             raise ValueError("proc_time row count does not match n_jobs")
         for row in self.proc_time:
@@ -235,7 +234,7 @@ def _taillard_rows(text: str):
         yield lineno, values
 
 
-def parse_taillard_blocks(text: str) -> list[tuple[tuple[int, ...], ...]]:
+def parse_taillard(text: str) -> list[tuple[tuple[int, ...], ...]]:
     """The job-major time matrix of every block of a Taillard file, in file
     order, from one pass.
 
@@ -275,22 +274,9 @@ def parse_taillard_blocks(text: str) -> list[tuple[tuple[int, ...], ...]]:
     return blocks
 
 
-def parse_taillard(text: str, instance_index: int) -> tuple[tuple[int, ...], ...]:
-    """The job-major time matrix of block `instance_index` (1-based) of a
-    Taillard file."""
-    if instance_index < 1:
-        raise IndexError("instance_index is 1-based")
-    blocks = parse_taillard_blocks(text)
-    if instance_index > len(blocks):
-        raise IndexError(
-            f"instance index {instance_index} outside 1..{len(blocks)}"
-        )
-    return blocks[instance_index - 1]
-
-
 def count_taillard_blocks(text: str) -> int:
     """Number of instance blocks in a Taillard file."""
-    return len(parse_taillard_blocks(text))
+    return len(parse_taillard(text))
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,6 @@ def crowding_distance(front: list[Individual]) -> list[Individual]:
     objective.  Fronts of one or two members are all boundary.
     """
     k = len(front)
-    if k == 0:
-        return front
     if k <= 2:
         for ind in front:
             ind.crowding = math.inf

@@ -259,6 +259,13 @@ class TestSolve:
     def test_index_outside_set_is_contract_error(self, instance, index):
         assert run(["solve", "--instance", instance, "--index", str(index)]) == 3
 
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_index_outside_taillard_file_is_contract_error(self, tmp_path, capsys, index):
+        path = tmp_path / "pair.txt"
+        path.write_text("header:\n2 2 9 0 0\ntimes:\n3 2\n4 5\n" * 2)
+        assert run(["solve", "--instance", str(path), "--index", str(index)]) == 3
+        assert f"instance index {index} outside 1..2" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["solve", "--instance", str(tmp_path / "nope.txt")]) == 2
 
@@ -347,19 +354,19 @@ class TestBench:
         powers = tmp_path / "powers.txt"
         powers.write_text("600 1200 900\n")
         parses, reads = [], []
-        parse_blocks, read_text = instance_module.parse_taillard_blocks, Path.read_text
+        parse, read_text = instance_module.parse_taillard, Path.read_text
 
         def counted_parse(text):
             parses.append(text)
-            return parse_blocks(text)
+            return parse(text)
 
         def counted_read(self, *args, **kwargs):
             reads.append(self)
             return read_text(self, *args, **kwargs)
 
         # every Taillard parser of `instance` goes through its module binding
-        monkeypatch.setattr(instance_module, "parse_taillard_blocks", counted_parse)
-        monkeypatch.setattr(cli_module, "parse_taillard_blocks", counted_parse)
+        monkeypatch.setattr(instance_module, "parse_taillard", counted_parse)
+        monkeypatch.setattr(cli_module, "parse_taillard", counted_parse)
         monkeypatch.setattr(Path, "read_text", counted_read)
         tasks = _load_tasks(str(path), str(powers))
         assert [task.dataset for task in tasks] == [1, 2, 3]

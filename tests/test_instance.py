@@ -40,32 +40,26 @@ processing times :
 
 class TestParseTaillard:
     def test_toy_block_transposes_to_job_major(self):
-        assert parse_taillard(TOY_TAILLARD, 1) == ((3, 4), (2, 5))
+        assert parse_taillard(TOY_TAILLARD)[0] == ((3, 4), (2, 5))
 
     def test_two_token_header(self):
-        assert parse_taillard("2 2\ntimes\n3 2\n4 5\n", 1) == ((3, 4), (2, 5))
+        assert parse_taillard("2 2\ntimes\n3 2\n4 5\n")[0] == ((3, 4), (2, 5))
 
     def test_multi_block_indexing(self):
         text = TOY_TAILLARD + SECOND_BLOCK
         assert count_taillard_blocks(text) == 2
-        assert parse_taillard(text, 2) == ((1, 4), (2, 5), (3, 6))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            parse_taillard(TOY_TAILLARD, 2)
-        with pytest.raises(IndexError):
-            parse_taillard(TOY_TAILLARD, 0)
+        assert parse_taillard(text)[1] == ((1, 4), (2, 5), (3, 6))
 
     def test_malformed_header_reports_line(self):
         bad = "marker\n2\nprocessing times :\n3 2\n4 5\n"
         with pytest.raises(InstanceFormatError) as err:
-            parse_taillard(bad, 1)
+            parse_taillard(bad)
         assert err.value.line == 2
 
     def test_non_integer_data_reports_line(self):
         bad = "2 2\ntimes\n3 2.5\n4 5\n"
         with pytest.raises(InstanceFormatError) as err:
-            parse_taillard(bad, 1)
+            parse_taillard(bad)
         assert err.value.line == 3
 
     def test_data_row_with_stray_letter_reports_its_line(self):
@@ -74,26 +68,26 @@ class TestParseTaillard:
         bad = ("jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5O\n"
                "jobs machines seed ub lb :\n5 1 1 0 0\ntimes :\n1 2 3 4 5\n")
         with pytest.raises(InstanceFormatError, match="non-integer") as err:
-            parse_taillard(bad, 1)
+            parse_taillard(bad)
         assert err.value.line == 4
 
     def test_negative_time_reports_line(self):
         with pytest.raises(InstanceFormatError) as err:
-            parse_taillard("2 2\ntimes\n3 2\n4 -5\n", 1)
+            parse_taillard("2 2\ntimes\n3 2\n4 -5\n")
         assert err.value.line == 4
 
     def test_truncated_matrix(self):
         with pytest.raises(InstanceFormatError, match="truncated"):
-            parse_taillard("2 2\ntimes\n3 2\n", 1)
+            parse_taillard("2 2\ntimes\n3 2\n")
 
     def test_empty_stream(self):
         with pytest.raises(InstanceFormatError):
-            parse_taillard("", 1)
+            parse_taillard("")
 
     def test_seed_field_is_not_used_for_times(self):
         # same matrix, different header seeds: identical parse results
-        a = parse_taillard(TOY_TAILLARD, 1)
-        b = parse_taillard(TOY_TAILLARD.replace("12345", "54321"), 1)
+        a = parse_taillard(TOY_TAILLARD)[0]
+        b = parse_taillard(TOY_TAILLARD.replace("12345", "54321"))[0]
         assert a == b
 
     def test_benchmark_block_within_bounds(self):
@@ -112,7 +106,7 @@ class TestParseTaillard:
             "20 5 873654221 1278 1232\nprocessing times :\n"
             + "\n".join(machine_major) + "\n"
         )
-        assert parse_taillard(text, 1) == times
+        assert parse_taillard(text)[0] == times
 
 
 # One 5-job x 2-machine block, one machine row per line.
@@ -127,13 +121,13 @@ class TestTaillardLayouts:
     ], ids=["rows-wrapped", "rows-on-one-line", "crlf"])
     def test_layout_reads_as_canonical(self, text):
         assert count_taillard_blocks(text) == 1
-        assert parse_taillard(text, 1) == parse_taillard(CANONICAL, 1)
+        assert parse_taillard(text)[0] == parse_taillard(CANONICAL)[0]
 
     def test_header_right_after_last_value(self):
         text = CANONICAL + "2 2 7 0 0\n3 2\n4 5\n"
         assert count_taillard_blocks(text) == 2
-        assert parse_taillard(text, 1) == parse_taillard(CANONICAL, 1)
-        assert parse_taillard(text, 2) == parse_taillard("x\n2 2 7 0 0\n3 2\n4 5\n", 1)
+        assert parse_taillard(text)[0] == parse_taillard(CANONICAL)[0]
+        assert parse_taillard(text)[1] == parse_taillard("x\n2 2 7 0 0\n3 2\n4 5\n")[0]
 
 
 class TestTaillardGenerator:
@@ -314,6 +308,15 @@ class TestInstanceValidation:
         assert "machine_load" not in repr(inst)
         assert parse_instance(format_instance(inst)) == inst
 
+    @pytest.mark.parametrize("n_jobs,n_machines,times", [
+        (1, 1.0, ((5,),)),
+        (2.0, 1, ((5,), (3,))),
+        (True, 1, ((5,),)),
+    ], ids=["float-machines", "float-jobs", "bool-jobs"])
+    def test_shape_must_be_int(self, n_jobs, n_machines, times):
+        with pytest.raises(ValueError, match="ints of at least 1"):
+            Instance(n_jobs, n_machines, times, (1.0,))
+
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError):
             Instance(1, 2, ((1, 2),), (700.0,))
@@ -403,7 +406,7 @@ def _check_native(text: str) -> None:
 
 def _check_taillard(text: str) -> None:
     try:
-        times = parse_taillard(text, 1)
+        times = parse_taillard(text)[0]
     except InstanceFormatError:
         return
     assert len(times) >= 1 and len(times[0]) >= 1

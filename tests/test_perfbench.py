@@ -5,6 +5,7 @@ solve instead of only in a traced benchmark run."""
 
 from pathlib import Path
 
+from greenflowshop import cli
 from greenflowshop.instance import load_table3
 from greenflowshop.nsga2 import RunConfig, evolve
 
@@ -26,3 +27,18 @@ def test_traced_bindings_count_and_keep_the_front(monkeypatch):
     assert traced == plain
     assert tracer.stat("localsearch.vnd").calls > 0
     assert tracer.stat("objectives.evaluate.descent").calls > 0
+
+
+def test_traced_bench_counts_one_taillard_parse(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import worker
+
+    path = tmp_path / "pair.txt"
+    path.write_text("header:\n2 2 9 0 0\ntimes:\n3 2\n4 5\n" * 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        worker.CampaignWorkload.instrument(None, tracer)
+        assert cli.cli(["bench", str(path), "--runs", "1", "--pop", "4", "--gen", "1",
+                        "--out", str(tmp_path / "bench.csv")]) == 0
+    assert tracer.stat("instance.parse").calls == 1
