@@ -314,6 +314,17 @@ class TestSolve:
         assert not any(tmp_path.iterdir())
 
 
+# sha256 of each output of `bench ta20x5 --runs 2 --pop 8 --gen 2 --seed 5`:
+# the records, their JSON mirror, stderr (progress lines in task order, then
+# repeat order) and stdout with the output directory written as `{tmp}`.
+_BENCH_OUTPUTS = {
+    "bench.csv": "32408c53691613c0226695778b01e60af4780e53630da04629895f456a3f7e10",
+    "bench.json": "90b1930240229991bff1e41557692941ae725f4c223d4df3aa2bd35c37b6b3e9",
+    "stdout": "1a2df1d5eedf03492413bcb18c35efb6114419a1e0e74a179b526cda2de30180",
+    "stderr": "b2f9fa2a15ccbb24236d901d6970da469f31fa1b4d0dde817c16427cbbadfd37",
+}
+
+
 class TestBench:
     def test_requires_instances(self, capsys):
         assert run(["bench"]) == 1
@@ -414,6 +425,20 @@ class TestBench:
         expected = tmp_path / "expected.csv"
         write_bench_csv(expected, run_benchmark(tasks, RunConfig(4, 1, seed=0), 1))
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        code = run(["bench", "ta20x5", "--runs", "2", "--pop", "8", "--gen", "2", "--seed", "5",
+                    "--out", str(tmp_path / "bench.csv"), "--json", str(tmp_path / "bench.json")])
+        out, err = capsys.readouterr()
+        assert code == 0
+        outputs = {
+            "bench.csv": (tmp_path / "bench.csv").read_bytes(),
+            "bench.json": (tmp_path / "bench.json").read_bytes(),
+            "stdout": out.replace(str(tmp_path), "{tmp}").encode(),
+            "stderr": err.encode(),
+        }
+        got = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert got == _BENCH_OUTPUTS
 
 
 class TestUnwritableOutput:
