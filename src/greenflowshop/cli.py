@@ -220,9 +220,9 @@ def _cmd_tune(args) -> int:
     _check_outputs(*paths["flowtime"], *paths["energy"],
                    inputs=_input_files([args.instance], args.powers))
     instance = _load_instance(args)
-    campaign = tuning.run_design(instance, args.seed, args.ls == "on", kappa=args.kappa)
+    config = RunConfig(seed=args.seed, ls_enabled=args.ls == "on", kappa=args.kappa)
     tables = {}
-    for response, responses in campaign.items():
+    for response, responses in tuning.run_design(instance, config).items():
         table = tuning.response_table(responses)
         tables[response] = table
         rows_path, table_path = paths[response]

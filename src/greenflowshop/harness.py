@@ -35,6 +35,7 @@ __all__ = [
     "read_bench_csv",
     "run_benchmark",
     "sequence_str",
+    "solve_runs",
     "write_bench_csv",
     "write_bench_json",
     "write_front_csv",
@@ -110,6 +111,18 @@ def make_record(problem: str, dataset: int, front: list[Individual]) -> BenchRec
     )
 
 
+def solve_runs(runs, on_solved=None) -> list[list[Individual]]:
+    """Fronts of `(instance, config, key)` runs in run order, each solved under
+    the seed `child_seed(config.seed, *key)`; `on_solved(k)` follows run k.
+    Every run of a `bench` or `tune` campaign is seeded and solved here."""
+    fronts = []
+    for k, (instance, config, key) in enumerate(runs):
+        fronts.append(evolve(instance, replace(config, seed=child_seed(config.seed, *key))))
+        if on_solved is not None:
+            on_solved(k)
+    return fronts
+
+
 def run_benchmark(
     tasks: list[BenchTask],
     config: RunConfig,
@@ -124,16 +137,16 @@ def run_benchmark(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    records = []
-    for t, task in enumerate(tasks):
-        fronts = []
-        for r in range(repeats):
-            run_seed = child_seed(config.seed, STREAM_BENCH, t, r)
-            fronts.append(evolve(task.instance, replace(config, seed=run_seed)))
-            if on_progress is not None:
-                on_progress(task, r + 1, repeats)
-        records.append(make_record(task.problem, task.dataset, merge_fronts(fronts)))
-    return records
+    runs = [(task.instance, config, (STREAM_BENCH, t, r))
+            for t, task in enumerate(tasks) for r in range(repeats)]
+
+    def progress(k):  # runs go task by task, repeat by repeat
+        on_progress(tasks[k // repeats], k % repeats + 1, repeats)
+
+    fronts = solve_runs(runs, None if on_progress is None else progress)
+    return [make_record(task.problem, task.dataset,
+                        merge_fronts(fronts[t * repeats:(t + 1) * repeats]))
+            for t, task in enumerate(tasks)]
 
 
 def average_pcts(pairs) -> tuple[float, float]:

@@ -11,13 +11,13 @@ rank; `responses_csv` and `response_table_csv` write the two file formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from .harness import extreme_points, solve_runs
 from .instance import Instance
-from .nsga2 import RunConfig, evolve
-from .objectives import DEFAULT_KAPPA
-from .seeding import STREAM_TUNING, child_seed
+from .nsga2 import RunConfig
+from .seeding import STREAM_TUNING
 
 __all__ = [
     "FACTORS",
@@ -77,29 +77,16 @@ class ResponseTable:
     rank: dict[str, int]  # 1 = largest delta; ties by factor order
 
 
-def run_design(
-    instance: Instance, seed: int, ls_enabled: bool, kappa: float = DEFAULT_KAPPA
-) -> dict[str, list[float]]:
-    """One solver run per L16 row, read for both responses: `flowtime`
-    lists each row front's best flowtime and `energy` its best energy.
-    A row runs its four factors with `ls_enabled`, `kappa` and a seed
-    derived from `seed`, so a rerun with the same seed reproduces every
-    response."""
-    out: dict[str, list[float]] = {"flowtime": [], "energy": []}
-    for k, row in enumerate(L16):
-        config = RunConfig(
-            pop_size=row.pop,
-            generations=row.gen,
-            p_crossover=row.crossover,
-            p_mutation=row.mutation,
-            seed=child_seed(seed, STREAM_TUNING, k),
-            ls_enabled=ls_enabled,
-            kappa=kappa,
-        )
-        front = evolve(instance, config)
-        out["flowtime"].append(float(min(ind.obj.flowtime for ind in front)))
-        out["energy"].append(min(ind.obj.energy for ind in front))
-    return out
+def run_design(instance: Instance, config: RunConfig) -> dict[str, list[float]]:
+    """One solver run per L16 row on `config` with the row's four factors and
+    a seed derived from `config.seed`; `flowtime` lists each row front's best
+    flowtime and `energy` its best energy.  A rerun reproduces every response."""
+    runs = [(instance, replace(config, generations=row.gen, pop_size=row.pop,
+                               p_crossover=row.crossover, p_mutation=row.mutation),
+             (STREAM_TUNING, k)) for k, row in enumerate(L16)]
+    ends = [extreme_points(front) for front in solve_runs(runs)]
+    return {"flowtime": [float(ft_best.obj.flowtime) for ft_best, _ in ends],
+            "energy": [ec_best.obj.energy for _, ec_best in ends]}
 
 
 def response_table(responses) -> ResponseTable:

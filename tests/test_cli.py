@@ -46,7 +46,7 @@ def _no_solver(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    for module in (cli_module, tuning, harness_module):
+    for module in (cli_module, harness_module):
         monkeypatch.setattr(module, "evolve", no_solve)
 
 
@@ -455,11 +455,7 @@ class TestUnwritableOutput:
     ], ids=["solve-out", "solve-json", "solve-out-is-dir", "tune-prefix",
             "tune-table-is-dir", "bench-out", "bench-json"])
     def test_exits_2_before_solver_work(self, tmp_path, monkeypatch, capsys, argv, bad):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the solver ran")
-
-        for module in (cli_module, tuning, harness_module):
-            monkeypatch.setattr(module, "evolve", no_solve)
+        _no_solver(monkeypatch)
         (tmp_path / "made").mkdir()
         (tmp_path / "l16_energy_table.csv").mkdir()
         before = sorted(tmp_path.rglob("*"))
@@ -611,7 +607,7 @@ def _tune_campaign(tmp_path, *flags, solve=evolve):
         return solve(instance, config, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tuning, "evolve", counted_evolve)
+        mp.setattr(harness_module, "evolve", counted_evolve)
         code = run(["tune", "--instance", str(inst_path), "--seed", "2", *flags,
                     "--out", str(tmp_path / "camp")])
     return SimpleNamespace(code=code, dir=tmp_path, solves=solves)

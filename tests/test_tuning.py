@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenflowshop.instance import Instance
+from greenflowshop.nsga2 import RunConfig
 from greenflowshop.tuning import (
     FACTORS,
     L16,
@@ -143,14 +144,14 @@ def tiny():
 
 class TestRunDesign:
     def test_deterministic(self, tiny):
-        a = run_design(tiny, seed=3, ls_enabled=False)
-        b = run_design(tiny, seed=3, ls_enabled=False)
+        a = run_design(tiny, RunConfig(seed=3, ls_enabled=False))
+        b = run_design(tiny, RunConfig(seed=3, ls_enabled=False))
         assert a == b
         assert len(a["flowtime"]) == 16
         assert len(a["energy"]) == 16
         assert all(r >= 0 for r in a["energy"])
 
     def test_energy_mode_positive(self, tiny):
-        responses = run_design(tiny, seed=3, ls_enabled=False)
+        responses = run_design(tiny, RunConfig(seed=3, ls_enabled=False))
         assert len(responses["energy"]) == 16
         assert all(r >= 0 for r in responses["energy"])
