@@ -94,19 +94,20 @@ class Instance:
     def __post_init__(self):
         if not all(type(n) is int and n >= 1 for n in (self.n_jobs, self.n_machines)):
             raise ValueError("n_jobs and n_machines must be ints of at least 1")
-        if len(self.proc_time) != self.n_jobs:
-            raise ValueError("proc_time row count does not match n_jobs")
+        # tuples only, so that every instance hashes
+        if not isinstance(self.proc_time, tuple) or len(self.proc_time) != self.n_jobs:
+            raise ValueError("proc_time must be a tuple of n_jobs rows")
         for row in self.proc_time:
-            if len(row) != self.n_machines:
-                raise ValueError("proc_time row width does not match n_machines")
+            if not isinstance(row, tuple) or len(row) != self.n_machines:
+                raise ValueError("proc_time rows must be tuples of n_machines times")
             if not all(type(t) is int for t in row):
                 raise ValueError("processing times must be integer minutes")
             if any(t < 0 for t in row):
                 raise ValueError("processing times must be non-negative")
-        if len(self.fixed_power) != self.n_machines:
-            raise ValueError("fixed_power length does not match n_machines")
-        if not all(0 < p < math.inf for p in self.fixed_power):
-            raise ValueError("fixed powers must be positive and finite")
+        if not isinstance(self.fixed_power, tuple) or len(self.fixed_power) != self.n_machines:
+            raise ValueError("fixed_power must be a tuple of n_machines powers")
+        if not all(type(p) in (int, float) and 0 < p < math.inf for p in self.fixed_power):
+            raise ValueError("fixed powers must be positive and finite ints or floats")
         object.__setattr__(self, "machine_load", tuple(map(sum, zip(*self.proc_time))))
 
     @classmethod

@@ -3,8 +3,10 @@
 `L16` crosses generation count, population size, crossover probability
 and mutation probability at their four `LEVELS`; every factor-level pair
 of any two factors appears exactly once over the 16 rows.  One campaign,
-`run_design(instance, seed, ls_enabled)`, solves each row once and yields
-both responses, the best flowtime and the best energy of the row's front.
+`run_design(instance, config)`, solves each row once on the base
+`RunConfig` (its seed, descent switch and `kappa`) through
+`harness.solve_runs` and yields both responses, the best flowtime and the
+best energy of the row's front.
 Analytics are the response table of level means with per-factor delta and
 rank; `responses_csv` and `response_table_csv` write the two file formats.
 """

@@ -317,6 +317,17 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="ints of at least 1"):
             Instance(n_jobs, n_machines, times, (1.0,))
 
+    @pytest.mark.parametrize("times,powers,message", [
+        ([[5]], (1.0,), "tuple of n_jobs rows"),
+        (([5],), (1.0,), "tuples of n_machines times"),
+        (((5,),), [1.0], "tuple of n_machines powers"),
+        (((5,),), ("a",), "ints or floats"),
+        (((5,),), (True,), "ints or floats"),
+    ], ids=["list-times", "list-row", "list-powers", "str-power", "bool-power"])
+    def test_only_tuples_of_numbers(self, times, powers, message):
+        with pytest.raises(ValueError, match=message):
+            Instance(1, 1, times, powers)
+
     def test_power_count_mismatch(self):
         with pytest.raises(ValueError):
             Instance(1, 2, ((1, 2),), (700.0,))

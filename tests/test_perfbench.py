@@ -42,3 +42,21 @@ def test_traced_bench_counts_one_taillard_parse(monkeypatch, tmp_path):
         assert cli.cli(["bench", str(path), "--runs", "1", "--pop", "4", "--gen", "1",
                         "--out", str(tmp_path / "bench.csv")]) == 0
     assert tracer.stat("instance.parse").calls == 1
+
+
+def test_traced_bench_counts_every_solve_and_merge(monkeypatch, tmp_path):
+    # perfbench wraps `harness.evolve` and `harness.merge_fronts` by name, so
+    # every campaign run must still reach them through `harness`
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import worker
+
+    path = tmp_path / "pair.txt"
+    path.write_text("header:\n2 2 9 0 0\ntimes:\n3 2\n4 5\n" * 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        worker.CampaignWorkload.instrument(None, tracer)
+        assert cli.cli(["bench", str(path), "--runs", "2", "--pop", "4", "--gen", "1",
+                        "--out", str(tmp_path / "bench.csv")]) == 0
+    assert tracer.stat("harness.solve").calls == 4
+    assert tracer.stat("harness.merge").calls == 2
