@@ -2,15 +2,15 @@
 rank-1 solutions.
 
 Three operators cycle in order: position swap and segment reversal propose
-two neighbours per call, job reinsertion proposes ten.  The descent keeps a
-single incumbent, recenters on it whenever some neighbour strictly
-dominates it, and stops once all three operators fail in a row or the
-iteration budget runs out.  Every neighbour agrees with the incumbent up
-to its first changed position, so it is evaluated from the incumbent's
-per-position recurrence state instead of from scratch.  The walk carries
-its incumbent and its archive as plain (objectives, permutation) pairs;
-`Individual`s are built only for the passes that rank their pool and for
-the result.
+two neighbours per call, job reinsertion proposes ten, each as `(k, perm)`
+with `k` its first changed position.  The descent keeps a single
+incumbent, recenters on it whenever some neighbour strictly dominates it,
+and stops once all three operators fail in a row or the iteration budget
+runs out.  A neighbour is priced from the incumbent's recurrence state at
+`k`, built at the first neighbour missing from the `priced` store.  The
+walk carries its incumbent and its archive as plain (objectives,
+permutation) pairs; `Individual`s are built only for the passes that rank
+their pool and for the result.
 """
 
 from __future__ import annotations
@@ -61,35 +61,30 @@ def _distinct_pair(draws: Draws, n: int) -> tuple[int, int]:
     return i, j
 
 
-def op_swap(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
+def op_swap(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Two independent random position swaps of `perm`."""
     n = len(perm)
     if n < 2:
-        return (tuple(perm), tuple(perm))
-    return tuple(
-        swap_positions(perm, *_distinct_pair(draws, n)) for _ in range(2)
-    )
+        return ((n, tuple(perm)),) * 2
+    pairs = (_distinct_pair(draws, n) for _ in range(2))
+    return tuple((min(i, j), swap_positions(perm, i, j)) for i, j in pairs)
 
 
-def op_reversion(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
+def op_reversion(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Two independent random segment reversals (segments of length >= 2)."""
     n = len(perm)
     if n < 2:
-        return (tuple(perm), tuple(perm))
-    out = []
-    for _ in range(2):
-        start = draws.integers(n - 1)
-        stop = draws.integers(start + 2, n + 1)
-        out.append(reverse_window(perm, start, stop))
-    return tuple(out)
+        return ((n, tuple(perm)),) * 2
+    starts = (draws.integers(n - 1) for _ in range(2))
+    return tuple((i, reverse_window(perm, i, draws.integers(i + 2, n + 1))) for i in starts)
 
 
-def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
+def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Ten reinsertion neighbours; (source, destination) pairs are distinct
     whenever the permutation admits ten distinct moves."""
     n = len(perm)
     if n < 2:
-        return tuple(tuple(perm) for _ in range(10))
+        return ((n, tuple(perm)),) * 10
     total_moves = n * (n - 1)
     if total_moves >= 10:
         picks = draws.choice(total_moves, 10)
@@ -99,8 +94,8 @@ def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, ...], ...]:
     out = []
     for code in picks:
         src, offset = divmod(code, n - 1)
-        dst = offset + 1 if offset >= src else offset
-        out.append(insert_job(perm, src, dst))
+        k, dst = (src, offset + 1) if offset >= src else (offset, offset)
+        out.append((k, insert_job(perm, src, dst)))
     return tuple(out)
 
 
@@ -129,8 +124,9 @@ def vnd_explore(
     incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
     incumbent is not rank 1 and changes no other member's rank-1 status,
     so it is left out of the pool.  Ranking draws no random numbers.
-    Neighbours are priced from the incumbent's `Prefix`, rebuilt from the
-    states the new incumbent shares with the old one when it changes.
+    Neighbours are priced from the incumbent's `Prefix` at their first
+    changed position.  It is built at the first neighbour missing from
+    `priced`, and a recentre extends one already built.
 
     `priced`, when given, maps permutations to their objectives: a
     neighbour found there is not evaluated, and every other neighbour's
@@ -148,19 +144,21 @@ def vnd_explore(
     """
     best_perm, best_obj = start.perm, start.obj
     archive = [(best_obj, best_perm)]  # (objectives, permutation) pairs
-    prefix = schedule_prefix(instance, best_perm)
+    prefix = None  # the incumbent's, built at its first store miss
     a = failures = 0
     for _ in range(max_iters - 1):
         bft, ben = best_obj
         improves = False
         pool = []
-        for perm in NEIGHBORHOOD_OPS[a](best_perm, draws):
+        for k, perm in NEIGHBORHOOD_OPS[a](best_perm, draws):
             obj = None if priced is None else priced.get(perm)
             if obj is None:
-                obj = evaluate(instance, perm, kappa, prefix)
+                if prefix is None:
+                    prefix = schedule_prefix(instance, best_perm)
+                obj = evaluate(instance, perm, kappa, prefix, k)
                 if priced is not None:
                     priced[perm] = obj
-            pool.append((obj, perm))
+            pool.append((obj, perm, k))
             ft, en = obj
             if not improves and ft <= bft and en <= ben and (ft < bft or en < ben):
                 improves = True
@@ -172,12 +170,14 @@ def vnd_explore(
                 archive = [(o, p) for o, p in archive if o[0] < ft or o[1] < en]
                 archive.append((obj, perm))
         if improves:
-            ranked = [Individual(perm, obj) for obj, perm in pool]
+            ranked = [Individual(perm, obj) for obj, perm, _ in pool]
             top = crowding_distance(fast_nondominated_sort(ranked)[0])
             pick = max(top, key=lambda ind: ind.crowding)
             if dominates(pick.obj, best_obj):
                 best_perm, best_obj = pick.perm, pick.obj
-                prefix = schedule_prefix(instance, best_perm, prefix)
+                if prefix is not None:
+                    k = pool[ranked.index(pick)][2]
+                    prefix = schedule_prefix(instance, best_perm, prefix, k)
                 failures = 0
                 continue
         a = (a + 1) % 3

@@ -11,9 +11,9 @@ The recurrence keeps only the time each machine comes free.  From 0 to its
 last completion a machine is either processing or on standby, so its
 standby minutes are its final free time minus its total processing
 minutes (`Instance.machine_load`).  A `Prefix` holds that state after each
-position of one permutation; `evaluate` resumes from it at the first
-position where its permutation differs, which is how the descent prices
-swap, reversal and reinsertion neighbours of its incumbent.
+position of one permutation; `evaluate(prefix=, start=)` resumes from it at
+`start`, the first position a descent move changed, and prices the rest,
+power-minutes included, in one compiled call.
 """
 
 from __future__ import annotations
@@ -53,73 +53,72 @@ class Prefix(NamedTuple):
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _kernel(m: int):
-    """`advance(pt, perm, start, free, flowtime, states=None)` for `m`
-    machines: schedule `perm[start:]` after a state, return the flowtime.
-    `free[j]` is the time machine j comes free (updated in place).  A job
-    starts on machine 1 as soon as it is free and reaches each later
-    machine when it leaves the one before, starting once both it and the
-    machine are there; with `states`, the state after each job is appended
-    to it.  Source made from `m` alone: free times in `f{j}`, job times in `p{j}`."""
+    """`advance(pt, perm, start, state, power, load, states=None)` for `m`
+    machines: schedule `perm[start:]` after a `Prefix` state and return the
+    flowtime and the power-minutes, `power[j] * (free time - load[j])`
+    added to 0.0 for j = 1..m-1 in order.  A job starts on machine 1 as
+    soon as it is free and reaches each later machine when it leaves the
+    one before, starting once both it and the machine are there; with
+    `states`, the state after each job is appended to it.  Source made
+    from `m` alone: free times in `f{j}`, job times in `p{j}`."""
     if type(m) is not int or m < 1:
         raise ValueError(f"kernel machine count must be a positive int, got {m!r}")
     free, row = (", ".join(f"{v}{j}" for j in range(m)) + "," for v in "fp")
     step = "\n        if c < f{0}: c = f{0}\n        c = f{0} = c + p{0}"
+    energy = "".join(f" + power[{j}] * (f{j} - load[{j}])" for j in range(1, m))
     namespace = {}
-    exec(f"""def advance(pt, perm, start, free, flowtime, states=None):
-    {free} = free
+    exec(f"""def advance(pt, perm, start, state, power, load, states=None):
+    ({free}), flowtime = state
     for job in perm[start:]:
         {row} = pt[job]
         c = f0 = f0 + p0{"".join(step.format(j) for j in range(1, m))}
         flowtime += c
         if states is not None:
             states.append((({free}), flowtime))
-    free[:] = {free}
-    return flowtime""", namespace)
+    return flowtime, 0.0{energy}""", namespace)
     return namespace["advance"]
 
 
-def _resume(instance: Instance, perm, prefix: Prefix | None) -> tuple[int, list[int], int]:
-    """The first position `k` where `perm` leaves `prefix.perm` (0 without
-    a prefix) and the state there, with a fresh list of free times."""
+def _advance(instance: Instance, perm, prefix: Prefix | None, start: int, states=None):
+    """The kernel over `perm` from `prefix.states[start]` (all zeros without
+    a prefix); `states`, if given, gets that state and every later one."""
     if prefix is None:
-        return 0, [0] * instance.n_machines, 0
-    k = 0
-    for a, b in zip(perm, prefix.perm):
-        if a != b:
-            break
-        k += 1
-    free, flowtime = prefix.states[k]
-    return k, list(free), flowtime
+        start, state = 0, ((0,) * instance.n_machines, 0)
+    elif 0 <= start <= len(perm):
+        state = prefix.states[start]
+    else:
+        raise ValueError(f"start must be in 0..{len(perm)}, got {start!r}")
+    if states is not None:
+        states.append(state)
+    return _kernel(instance.n_machines)(instance.proc_time, perm, start, state,
+                                        instance.fixed_power, instance.machine_load, states)
 
 
-def schedule_prefix(instance: Instance, perm, base: Prefix | None = None) -> Prefix:
+def schedule_prefix(instance: Instance, perm, base: Prefix | None = None, start: int = 0) -> Prefix:
     """The per-position recurrence state of `perm`, for `evaluate(prefix=)`;
-    the states it shares with a `base` of the same instance are reused."""
-    k, free, flowtime = _resume(instance, perm, base)
-    states = [(tuple(free), 0)] if base is None else base.states[: k + 1]
-    _kernel(instance.n_machines)(instance.proc_time, perm, k, free, flowtime, states)
+    with a `base` of the same instance whose permutation agrees with
+    `perm` before position `start`, its states up to there are reused."""
+    states = [] if base is None else base.states[:start]
+    _advance(instance, perm, base, start, states)
     return Prefix(tuple(perm), states)
 
 
 def evaluate(
-    instance: Instance, perm, kappa: float = DEFAULT_KAPPA, prefix: Prefix | None = None
+    instance: Instance, perm, kappa: float = DEFAULT_KAPPA,
+    prefix: Prefix | None = None, start: int = 0,
 ) -> Objectives:
     """Total flowtime and standby energy of `perm`, in one recurrence.
 
     Standby on machine j is its last completion minus its processing
     minutes; machine 1 never waits, so its power is never charged.  The
     power-minutes are summed over machines 2..m from 0.0 and scaled by
-    `kappa` once.  With a `prefix` of the same instance, the positions
-    `perm` shares with `prefix.perm` are taken from its states and only
-    the rest is recomputed; the result is the same either way.
+    `kappa` once.  With a `prefix` of the same instance whose permutation
+    agrees with `perm` before position `start` (the descent passes the
+    first changed one), the recurrence resumes from its state there; the
+    result is the same either way.  Without a prefix, `start` is unused.
     """
     check_permutation(perm, instance.n_jobs)
-    k, free, flowtime = _resume(instance, perm, prefix)
-    flowtime = _kernel(instance.n_machines)(instance.proc_time, perm, k, free, flowtime)
-    power, load = instance.fixed_power, instance.machine_load
-    power_minutes = 0.0
-    for j in range(1, instance.n_machines):
-        power_minutes += power[j] * (free[j] - load[j])
+    flowtime, power_minutes = _advance(instance, perm, prefix, start)
     return Objectives(flowtime, power_minutes * kappa)
 
 

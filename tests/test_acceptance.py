@@ -212,13 +212,13 @@ def test_criterion_8_property_suites():
         applications += 1
     base = tuple(range(9))
     for _ in range(10000):
-        for out in op_swap(base, draws):
+        for _, out in op_swap(base, draws):
             assert is_perm(out, 9)
-        for out in op_reversion(base, draws):
+        for _, out in op_reversion(base, draws):
             assert is_perm(out, 9)
         applications += 4
     for _ in range(1000):
-        for out in op_neighborhood(base, draws):
+        for _, out in op_neighborhood(base, draws):
             assert is_perm(out, 9)
         applications += 10
 

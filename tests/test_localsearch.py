@@ -51,40 +51,40 @@ class TestOperators:
     def test_swap_returns_two(self):
         out = op_swap((0, 1, 2, 3), Draws(np.random.default_rng(0)))
         assert len(out) == 2
-        for p in out:
+        for _, p in out:
             assert sorted(p) == [0, 1, 2, 3]
 
     def test_reversion_returns_two(self):
         out = op_reversion((0, 1, 2, 3, 4), Draws(np.random.default_rng(0)))
         assert len(out) == 2
-        for p in out:
+        for _, p in out:
             assert sorted(p) == [0, 1, 2, 3, 4]
 
     def test_neighborhood_returns_ten(self):
         out = op_neighborhood((0, 1, 2), Draws(np.random.default_rng(0)))
         assert len(out) == 10
-        for p in out:
+        for _, p in out:
             assert sorted(p) == [0, 1, 2]
 
     def test_single_job_degenerate(self):
         rng = Draws(np.random.default_rng(0))
-        assert op_swap((0,), rng) == ((0,), (0,))
-        assert op_reversion((0,), rng) == ((0,), (0,))
-        assert op_neighborhood((0,), rng) == tuple((0,) for _ in range(10))
+        assert op_swap((0,), rng) == ((1, (0,)), (1, (0,)))
+        assert op_reversion((0,), rng) == ((1, (0,)), (1, (0,)))
+        assert op_neighborhood((0,), rng) == tuple((1, (0,)) for _ in range(10))
 
     def test_closure_over_many_applications(self):
         rng = Draws(np.random.default_rng(42))
         base = tuple(range(8))
         for _ in range(500):
             for op in NEIGHBORHOOD_OPS:
-                for out in op(base, rng):
+                for _, out in op(base, rng):
                     assert sorted(out) == list(range(8))
 
     def test_swap_changes_exactly_two_positions(self):
         rng = Draws(np.random.default_rng(1))
         base = tuple(range(6))
         for _ in range(50):
-            for out in op_swap(base, rng):
+            for _, out in op_swap(base, rng):
                 assert sum(a != b for a, b in zip(base, out)) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 20, 50])
@@ -97,9 +97,23 @@ class TestOperators:
         for _ in range(300):
             perm = tuple(py.sample(range(n), n))
             a = py.randrange(3)
-            assert NEIGHBORHOOD_OPS[a](perm, draws) == NUMPY_NEIGHBORHOOD_OPS[a](perm, live)
+            perms = tuple(p for _, p in NEIGHBORHOOD_OPS[a](perm, draws))
+            assert perms == NUMPY_NEIGHBORHOOD_OPS[a](perm, live)
         draws.sync()
         assert twin.bit_generator.state == live.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 50])
+    def test_k_is_the_first_changed_position(self, n):
+        # the descent resumes each neighbour's pricing at its `k`, so `k`
+        # must be exactly where it first leaves the incumbent (n if nowhere)
+        py = random.Random(n)
+        for seed in range(40):
+            draws = Draws(np.random.default_rng(seed))
+            perm = tuple(py.sample(range(n), n))
+            for op in NEIGHBORHOOD_OPS:
+                for k, out in op(perm, draws):
+                    first = next((i for i, (a, b) in enumerate(zip(perm, out)) if a != b), n)
+                    assert k == first
 
     def test_neighborhood_moves_distinct_when_possible(self):
         # 4 jobs allow 12 distinct (src, dst) moves, so the ten picks differ
@@ -181,6 +195,31 @@ class TestVnd:
             assert (start.rank, start.crowding) == (2, 1.5)
             assert best is not start
             assert all(ind is not start and ind is not best for ind in archive)
+
+    def test_prefix_built_only_at_a_store_miss(self, monkeypatch):
+        # a walk whose every neighbour is already in the store prices
+        # nothing and builds no prefix, and walks as it does with an empty
+        # store; a store another walk filled in part answers some passes
+        # and recentres before any prefix is built, and changes no walk
+        rng_py = random.Random(12)
+        inst = random_instance(rng_py, 5, 3)
+        perm = tuple(rng_py.sample(range(5), 5))
+        start = Individual(perm, evaluate(inst, perm))
+        shared = {}
+        for seed in range(12):  # seeds 5, 6 and 9 recentre before a miss, then miss
+            walks = []
+            for store in ({}, shared):
+                got = vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)),
+                                  priced=store)
+                walks.append((got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]))
+            assert walks[0] == walks[1]
+        assert dominates(walks[0][1], start.obj)  # the walk recentres
+        calls = []
+        for name in ("evaluate", "schedule_prefix"):
+            monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
+        got = vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)), priced=shared)
+        assert calls == []
+        assert (got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]) == walks[0]
 
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)

@@ -1,17 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from greenflowshop.instance import Instance
-from greenflowshop.localsearch import insert_job, reverse_window, swap_positions
+from greenflowshop.localsearch import (
+    NEIGHBORHOOD_OPS,
+    insert_job,
+    reverse_window,
+    swap_positions,
+)
 from greenflowshop.objectives import (
     DEFAULT_KAPPA,
     evaluate,
     schedule_prefix,
     simulate_oracle,
 )
+from greenflowshop.seeding import Draws
 from support import random_instance, reference_states
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
@@ -156,37 +163,38 @@ class TestInvariants:
 
 @st.composite
 def neighbour_moves(draw):
-    """A shop, an incumbent and one of its neighbours: a swap, a reversal
-    or a reinsertion, or a neighbour sharing no prefix (k = 0) or all of it
-    (k = n)."""
+    """A shop, an incumbent, one of its neighbours and the neighbour's first
+    changed position: a swap, a reversal or a reinsertion, or a neighbour
+    sharing no prefix (k = 0) or all of it (k = n)."""
     inst, perm = draw(shops())
     n = inst.n_jobs
     kind = draw(st.sampled_from(["swap", "reverse", "insert", "k=0", "k=n"]))
     if kind == "k=n" or n == 1:
-        return inst, perm, perm
+        return inst, perm, perm, n
     if kind == "k=0":
         other = draw(st.permutations(range(n)).filter(lambda p: p[0] != perm[0]))
-        return inst, perm, tuple(other)
+        return inst, perm, tuple(other), 0
     i = draw(st.integers(0, n - 1))
     j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
     if kind == "swap":
-        return inst, perm, swap_positions(perm, i, j)
+        return inst, perm, swap_positions(perm, i, j), min(i, j)
     if kind == "reverse":
-        return inst, perm, reverse_window(perm, min(i, j), max(i, j) + 1)
-    return inst, perm, insert_job(perm, i, j)
+        return inst, perm, reverse_window(perm, min(i, j), max(i, j) + 1), min(i, j)
+    return inst, perm, insert_job(perm, i, j), min(i, j)
 
 
 class TestPrefix:
     @given(neighbour_moves(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
     def test_prefix_path_agrees_exactly(self, move, kappa):
-        inst, incumbent, neighbour = move
+        inst, incumbent, neighbour, start = move
         prefix = schedule_prefix(inst, incumbent)
-        got = evaluate(inst, neighbour, kappa, prefix)
+        got = evaluate(inst, neighbour, kappa, prefix, start)
         for expected in (evaluate(inst, neighbour, kappa),
                          simulate_oracle(inst, neighbour, kappa)):
             assert got.flowtime == expected.flowtime
             assert repr(got.energy) == repr(expected.energy)
-        assert schedule_prefix(inst, neighbour, prefix) == schedule_prefix(inst, neighbour)
+        resumed = schedule_prefix(inst, neighbour, prefix, start)
+        assert resumed == schedule_prefix(inst, neighbour)
 
     def test_states_follow_the_worked_example(self):
         # job 1 first completes at (3, 7), then job 2 at (5, 12)
@@ -197,6 +205,15 @@ class TestPrefix:
         prefix = schedule_prefix(TOY, (0, 1))
         with pytest.raises(ValueError):
             evaluate(TOY, (0, 0), prefix=prefix)
+
+    @pytest.mark.parametrize("start", [-1, -3, 3, 10])
+    def test_start_outside_the_permutation_is_refused(self, start):
+        # a negative start would index the states from the end and misprice
+        prefix = schedule_prefix(TOY, (0, 1))
+        with pytest.raises(ValueError, match="start"):
+            evaluate(TOY, (1, 0), prefix=prefix, start=start)
+        with pytest.raises(ValueError, match="start"):
+            schedule_prefix(TOY, (1, 0), prefix, start)
 
 
 class TestEveryMachineCount:
@@ -219,6 +236,13 @@ class TestEveryMachineCount:
             assert repr(got.energy) == repr(expected.energy)
             prefix = schedule_prefix(inst, perm)
             assert prefix.states == reference_states(inst, perm)
-            other = reverse_window(perm, n // 2, n)  # shares its first n // 2 jobs
-            assert evaluate(inst, other, prefix=prefix) == evaluate(inst, other)
-            assert schedule_prefix(inst, other, prefix) == schedule_prefix(inst, other)
+            draws = Draws(np.random.default_rng(m))
+            for op in NEIGHBORHOOD_OPS:  # resumed at each move's first changed position
+                for start, other in op(perm, draws):
+                    got = evaluate(inst, other, prefix=prefix, start=start)
+                    for expected in (evaluate(inst, other), simulate_oracle(inst, other)):
+                        assert got.flowtime == expected.flowtime
+                        assert repr(got.energy) == repr(expected.energy)
+                    assert m > 1 or repr(got.energy) == "0.0"  # nothing is charged
+                    resumed = schedule_prefix(inst, other, prefix, start)
+                    assert resumed == schedule_prefix(inst, other)
