@@ -8,6 +8,7 @@ read-only) and a small native format that also carries the power column.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -129,11 +130,16 @@ def _minutes(t) -> int:
     raise ValueError(f"processing times must be integer minutes, got {t!r}")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _job_set(n_jobs: int) -> frozenset[int]:
+    return frozenset(range(n_jobs))
+
+
 def check_permutation(perm, n_jobs: int) -> None:
     """Raise ValueError unless `perm` is a bijection on 0..n_jobs-1: n_jobs items covering it."""
     if len(perm) != n_jobs:
         raise ValueError(f"permutation length {len(perm)} != {n_jobs} jobs")
-    if not set(perm).issuperset(range(n_jobs)):
+    if not _job_set(n_jobs).issubset(perm):
         raise ValueError("permutation is not a bijection on the job set")
 
 

@@ -66,8 +66,10 @@ def op_swap(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
     n = len(perm)
     if n < 2:
         return ((n, tuple(perm)),) * 2
-    pairs = (_distinct_pair(draws, n) for _ in range(2))
-    return tuple((min(i, j), swap_positions(perm, i, j)) for i, j in pairs)
+    i1, j1 = _distinct_pair(draws, n)
+    i2, j2 = _distinct_pair(draws, n)
+    return ((min(i1, j1), swap_positions(perm, i1, j1)),
+            (min(i2, j2), swap_positions(perm, i2, j2)))
 
 
 def op_reversion(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -75,8 +77,10 @@ def op_reversion(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:
     n = len(perm)
     if n < 2:
         return ((n, tuple(perm)),) * 2
-    starts = (draws.integers(n - 1) for _ in range(2))
-    return tuple((i, reverse_window(perm, i, draws.integers(i + 2, n + 1))) for i in starts)
+    i1 = draws.integers(n - 1)
+    first = (i1, reverse_window(perm, i1, draws.integers(i1 + 2, n + 1)))
+    i2 = draws.integers(n - 1)
+    return first, (i2, reverse_window(perm, i2, draws.integers(i2 + 2, n + 1)))
 
 
 def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ...]:

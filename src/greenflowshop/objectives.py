@@ -98,6 +98,7 @@ def schedule_prefix(instance: Instance, perm, base: Prefix | None = None, start:
     """The per-position recurrence state of `perm`, for `evaluate(prefix=)`;
     with a `base` of the same instance whose permutation agrees with
     `perm` before position `start`, its states up to there are reused."""
+    check_permutation(perm, instance.n_jobs)
     states = [] if base is None else base.states[:start]
     _advance(instance, perm, base, start, states)
     return Prefix(tuple(perm), states)

@@ -4,13 +4,13 @@ use, so distinct uses never share a stream.
 
 The solver's variation and descent draw through `Draws`, which replays
 numpy's `Generator` algorithms in Python from the generator's raw PCG64
-words: one numpy call per chunk of words instead of one per draw.
-numpy's RNG policy (NEP 19) keeps the raw stream of a seeded bit
-generator stable, but not the `Generator` methods' algorithms, so those
-draws now depend on `SeedSequence` and the raw stream only.  The initial
-population's shuffles and instance generation still call `Generator`
-methods.  `Draws.sync` serves the draw-for-draw tests, which compare the
-generator's state with numpy's; the solver never calls it.
+words: one numpy call per chunk of words instead of one per draw, and each
+single bounded draw read inline.  numpy's RNG policy (NEP 19) keeps the raw
+stream of a seeded bit generator stable, but not the `Generator` methods'
+algorithms, so those draws now depend on `SeedSequence` and the raw stream
+only.  The initial population's shuffles and instance generation still call
+`Generator` methods.  `Draws.sync` serves the draw-for-draw tests, which
+compare the generator's state with numpy's; the solver never calls it.
 """
 
 from __future__ import annotations
@@ -46,16 +46,17 @@ def child_seed(seed: int, *key: int) -> int:
 class Draws:
     """The draws of a PCG64 `Generator`, replayed from its raw words.
 
-    `integers`, `random` and `choice` return what the `Generator` methods
-    of the same names return for bounds up to 2^32, and consume the same
-    raw words.  Bounded integers use Lemire's multiply-and-reject method
-    on 32-bit half-words (Lemire, ACM TOMACS 2019); PCG64 hands out a
-    word's low half first and caches its high half for the next 32-bit
-    draw, while `random` takes a whole word.  Sampling without
-    replacement is Floyd's algorithm (Bentley & Floyd, CACM 1987)
-    followed by a Fisher-Yates shuffle, which is what numpy does for
-    samples of up to 200 from up to 2^32 values; larger ones are not
-    replayed.
+    `integers`, `random` and `choice` return what the `Generator` methods of
+    the same names return for bounds up to 2^32, and consume the same raw
+    words.  Bounded integers use Lemire's multiply-and-reject method on
+    32-bit half-words (Lemire, ACM TOMACS 2019); PCG64 hands out a word's
+    low half first and caches its high half for the next 32-bit draw, while
+    `random` takes a whole word.  `integers` reads its half-word inline and
+    calls `_below`, which pulls words and redraws, only at a chunk end or
+    for a low word under the bound, where Lemire might reject.  Sampling
+    without replacement is Floyd's algorithm (Bentley & Floyd, CACM 1987)
+    followed by a Fisher-Yates shuffle, which is what numpy does for samples
+    of up to 200 from up to 2^32 values; larger ones are not replayed.
 
     Words are pulled ahead in chunks, so the generator runs ahead of the
     draws; `sync` puts it where numpy's own calls would have left it.
@@ -106,11 +107,18 @@ class Draws:
         """`Generator.integers(low, high)` or `integers(low)` as an int."""
         if high is None:
             low, high = 0, low
-        if high - low == 1:
+        b = high - low
+        if b == 1:
             return low  # numpy draws nothing for a single value
-        if not 1 < high - low <= 1 << 32:
+        if not 1 < b <= 1 << 32:
             raise ValueError(f"cannot draw from [{low}, {high})")
-        return low + self._below((high - low,))[0]
+        at = self._at
+        if at < len(self._half):
+            m = self._half[at] * b
+            if m & 0xFFFFFFFF >= b:
+                self._at = at + 1
+                return low + (m >> 32)
+        return low + self._below((b,))[0]
 
     def random(self) -> float:
         """`Generator.random()`: the top 53 bits of one whole raw word."""

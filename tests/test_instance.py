@@ -460,3 +460,37 @@ class TestCheckPermutation:
         with pytest.raises(ValueError) as info:
             check_permutation(perm, n_jobs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("perm, n_jobs, accepted", [
+        ((0.0, 1.0), 2, True),
+        ((False, True), 2, True),
+        (tuple(np.arange(3, dtype=np.int64)[::-1]), 3, True),
+        (np.arange(3, dtype=np.int64), 3, True),
+        ((0, 1, 1), 3, False),
+        ((0, 1, 3), 3, False),
+        ((0, -1), 2, False),
+        ((0, 1), 3, False),
+        ((2, 1, 0, 3), 3, False),
+        ((0, "1"), 2, False),
+        ((0, [1]), 2, False),
+        ((), 0, True),
+    ])
+    def test_matches_the_set_expression(self, perm, n_jobs, accepted):
+        # the cached job set must refuse what building `set(perm)` refused,
+        # with the same exception type and message, unhashable items included
+        def reference(perm, n_jobs):
+            if len(perm) != n_jobs:
+                raise ValueError(f"permutation length {len(perm)} != {n_jobs} jobs")
+            if not set(perm).issuperset(range(n_jobs)):
+                raise ValueError("permutation is not a bijection on the job set")
+
+        outcomes = []
+        for check in (reference, check_permutation):
+            try:
+                check(perm, n_jobs)
+            except (TypeError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[1] is None) == accepted

@@ -206,6 +206,15 @@ class TestPrefix:
         with pytest.raises(ValueError):
             evaluate(TOY, (0, 0), prefix=prefix)
 
+    def test_prefix_of_a_non_permutation_is_refused(self):
+        # every neighbour resumed from such a prefix would be mispriced
+        with pytest.raises(ValueError, match="bijection"):
+            schedule_prefix(TOY, (0, 0))
+        with pytest.raises(ValueError, match="bijection"):
+            schedule_prefix(TOY, (1, 1), schedule_prefix(TOY, (0, 1)), 0)
+        with pytest.raises(ValueError, match="length"):
+            schedule_prefix(TOY, (0,))
+
     @pytest.mark.parametrize("start", [-1, -3, 3, 10])
     def test_start_outside_the_permutation_is_refused(self, start):
         # a negative start would index the states from the end and misprice

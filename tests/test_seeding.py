@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from greenflowshop.seeding import Draws, child_seed, stream
+from greenflowshop.seeding import _CHUNK, Draws, child_seed, stream
 
 # The bounds the solver draws under: jobs at table3 and 20x5 sizes,
 # population sizes, reinsertion move counts (15*14, 50*49, and the 2 and
@@ -106,6 +106,59 @@ class TestAgainstNumpy:
         draws.sync()
         assert twin.bit_generator.state == live.bit_generator.state
         assert twin.integers(child_seed(5, 3)) == live.integers(child_seed(5, 3))
+
+
+def lead_in(cached, where):
+    """Calls that leave the next 32-bit draw on the last half-word of the
+    first pulled chunk (`where == "last"`) or on the first half-word of
+    the second, pulled by a `random` (`"first"`).  `integers(2)` takes
+    exactly one half-word: 2 divides 2^32, so Lemire never rejects."""
+    steps = 2 * _CHUNK - 1 + cached
+    if where == "last":
+        return [("integers", (2,))] * steps
+    return [("integers", (2,))] * (steps - 1) + [("random", ())]
+
+
+def replayed_draws(seed, cached, sequence):
+    rng = np.random.default_rng(seed)
+    if cached:
+        rng.integers(7)
+    draws = Draws(rng)
+    for method, args in sequence:
+        replayed_call(draws, method, args)
+    return draws
+
+
+class TestChunkEdges:
+    """`integers` reads a half-word inline unless it is past the pulled
+    words or Lemire might reject it; these pin the reads on either side
+    of a pull, where the inline read and `_below` hand over."""
+
+    @pytest.mark.parametrize("where", ["last", "first"])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_lead_in_reaches_the_edge(self, where, cached):
+        draws = replayed_draws(3, cached, lead_in(cached, where))
+        edge = len(draws._half) - (1 if where == "last" else 2 * _CHUNK)
+        assert draws._at == edge
+
+    @pytest.mark.parametrize("n", SOLVER_BOUNDS + [2**32 - 1, 3 * 2**30])
+    @pytest.mark.parametrize("where", ["last", "first"])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_draws_at_the_edge(self, n, where, cached):
+        lead = lead_in(cached, where)
+        assert_replays(n, cached, lead + [("integers", (n,))] * 3)
+        if n >= 2:
+            assert_replays(n, cached, lead + [("choice", (n, 2))] * 3)
+
+    @pytest.mark.parametrize("seed, cached", [(0, False), (9, True)])
+    def test_rejection_on_the_last_half_word_redraws_from_the_next_chunk(self, seed, cached):
+        # under 3 * 2^30 a quarter of the half-words are rejected; these
+        # seeds reject the chunk's last one
+        lead = lead_in(cached, "last")
+        draws = replayed_draws(seed, cached, lead)
+        draws.integers(3 * 2**30)
+        assert draws._at > len(draws._half) - 2 * _CHUNK  # read into the next chunk
+        assert_replays(seed, cached, lead + [("integers", (3 * 2**30,))] * 3)
 
 
 class TestRejectsWhatNumpyRejects:
