@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .seeding import stream
+from .seeding import Draws
 
 __all__ = [
     "Instance",
@@ -163,10 +163,10 @@ def generate_instance(n_jobs: int, n_machines: int, seed: int) -> Instance:
     (PCG64 stream, times drawn before powers)."""
     if n_jobs < 1 or n_machines < 1:
         raise ValueError("need n_jobs >= 1 and n_machines >= 1")
-    rng = stream(seed)
-    times = rng.integers(1, 100, size=(n_jobs, n_machines))
-    powers = rng.integers(700, 1501, size=n_machines)
-    return Instance.from_matrix(times.tolist(), powers.tolist())
+    draws = Draws(seed)
+    times = [[draws.integers(1, 100) for _ in range(n_machines)] for _ in range(n_jobs)]
+    powers = [draws.integers(700, 1501) for _ in range(n_machines)]
+    return Instance.from_matrix(times, powers)
 
 
 # ---------------------------------------------------------------------------

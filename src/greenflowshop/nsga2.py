@@ -6,9 +6,9 @@ budgeted round of descents over the merged pool (best fronts first, with
 their trade-off discoveries folded back in), and elitist truncation back
 to the population size.  All randomness flows from one root seed through
 per-generation child streams, so switching the descent pass on or off
-never perturbs the selection stream.  Variation and descent draw through
-one `seeding.Draws` per stream and generation, which replays numpy's
-`Generator` draws from the stream's raw words.
+never perturbs the selection stream.  The initial population and each
+generation's variation and descent draw through one `seeding.Draws` per
+stream, which replays numpy's `Generator` draws from its raw words.
 
 The merged pool is ranked once per generation (twice with the descent),
 and the survivors are not ranked again.  They are the best whole fronts
@@ -46,7 +46,7 @@ from .pareto import (
     rank_population,
     unique_sorted,
 )
-from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws, stream
+from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
 
 __all__ = [
     "RunConfig",
@@ -88,10 +88,10 @@ class RunConfig:
 
 def init_population(instance: Instance, config: RunConfig) -> list[Individual]:
     """Uniformly random evaluated permutations, one shuffle per member."""
-    rng = stream(config.seed, STREAM_INIT)
+    draws = Draws(config.seed, STREAM_INIT)
     pop = []
     for _ in range(config.pop_size):
-        perm = tuple(int(x) for x in rng.permutation(instance.n_jobs))
+        perm = tuple(draws.permutation(instance.n_jobs))
         pop.append(Individual(perm, evaluate(instance, perm, config.kappa)))
     return pop
 
@@ -263,12 +263,12 @@ def evolve(
     rank_population(pop)
     stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
-        var_draws = Draws(stream(config.seed, STREAM_VARIATION, gen))
+        var_draws = Draws(config.seed, STREAM_VARIATION, gen)
         offspring = _make_offspring(instance, pop, config, var_draws)
         merged = pop + offspring
         fronts = rank_population(merged)
         if config.ls_enabled:
-            ls_draws = Draws(stream(config.seed, STREAM_LOCAL, gen))
+            ls_draws = Draws(config.seed, STREAM_LOCAL, gen)
             stores = _apply_local_search(merged, fronts, instance, ls_draws, config.kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)

@@ -84,10 +84,11 @@ def _advance(instance: Instance, perm, prefix: Prefix | None, start: int, states
     a prefix); `states`, if given, gets that state and every later one."""
     if prefix is None:
         start, state = 0, ((0,) * instance.n_machines, 0)
-    elif 0 <= start <= len(perm):
+    elif 0 <= start <= len(perm) and prefix.perm[:start] == tuple(perm[:start]):
         state = prefix.states[start]
     else:
-        raise ValueError(f"start must be in 0..{len(perm)}, got {start!r}")
+        raise ValueError(f"start {start!r} is outside 0..{len(perm)}"
+                         " or the prefix differs from perm before it")
     if states is not None:
         states.append(state)
     return _kernel(instance.n_machines)(instance.proc_time, perm, start, state,
@@ -116,7 +117,8 @@ def evaluate(
     `kappa` once.  With a `prefix` of the same instance whose permutation
     agrees with `perm` before position `start` (the descent passes the
     first changed one), the recurrence resumes from its state there; the
-    result is the same either way.  Without a prefix, `start` is unused.
+    result is the same either way, and a prefix that disagrees there
+    raises ValueError.  Without a prefix, `start` is unused.
     """
     check_permutation(perm, instance.n_jobs)
     flowtime, power_minutes = _advance(instance, perm, prefix, start)

@@ -2,23 +2,21 @@
 root seed, taken modulo 2^64, and a spawn key whose first entry names the
 use, so distinct uses never share a stream.
 
-The solver's variation and descent draw through `Draws`, which replays
-numpy's `Generator` algorithms in Python from the generator's raw PCG64
-words: one numpy call per chunk of words instead of one per draw, and each
-single bounded draw read inline.  numpy's RNG policy (NEP 19) keeps the raw
-stream of a seeded bit generator stable, but not the `Generator` methods'
-algorithms, so those draws now depend on `SeedSequence` and the raw stream
-only.  The initial population's shuffles and instance generation still call
-`Generator` methods.  `Draws.sync` serves the draw-for-draw tests, which
-compare the generator's state with numpy's; the solver never calls it.
+Every seeded draw goes through `Draws`, which replays numpy's `Generator`
+algorithms in Python from a PCG64 bit generator's raw words: one numpy call
+per chunk of words instead of one per draw, and each single bounded draw
+read inline.  numpy's RNG policy (NEP 19) keeps the raw stream of a seeded
+bit generator stable, but not the `Generator` methods' algorithms, so no
+`Generator` is built and no draw depends on anything but `SeedSequence`
+and the raw stream.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import PCG64, SeedSequence
 
 __all__ = ["STREAM_BENCH", "STREAM_INIT", "STREAM_LOCAL", "STREAM_TUNING",
-           "STREAM_VARIATION", "Draws", "child_seed", "stream"]
+           "STREAM_VARIATION", "Draws", "child_seed"]
 
 # First spawn-key entry of each use: the initial population, one
 # generation's variation and descent, one tuning design row and one
@@ -28,14 +26,8 @@ STREAM_INIT, STREAM_VARIATION, STREAM_LOCAL, STREAM_TUNING, STREAM_BENCH = range
 _CHUNK = 512  # raw words pulled per numpy call
 
 
-def _sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
-
-
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """The generator for `key` under `seed`; an empty key gives the root
-    seed's own stream."""
-    return np.random.default_rng(_sequence(seed, key))
+def _sequence(seed: int, key: tuple[int, ...]) -> SeedSequence:
+    return SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
 
 
 def child_seed(seed: int, *key: int) -> int:
@@ -44,43 +36,38 @@ def child_seed(seed: int, *key: int) -> int:
 
 
 class Draws:
-    """The draws of a PCG64 `Generator`, replayed from its raw words.
+    """The draws of a `Generator` on the PCG64 stream of `key` under `seed`
+    (for an empty key, the root seed's own), replayed from its raw words.
 
-    `integers`, `random` and `choice` return what the `Generator` methods of
-    the same names return for bounds up to 2^32, and consume the same raw
-    words.  Bounded integers use Lemire's multiply-and-reject method on
-    32-bit half-words (Lemire, ACM TOMACS 2019); PCG64 hands out a word's
-    low half first and caches its high half for the next 32-bit draw, while
-    `random` takes a whole word.  `integers` reads its half-word inline and
-    calls `_below`, which pulls words and redraws, only at a chunk end or
-    for a low word under the bound, where Lemire might reject.  Sampling
-    without replacement is Floyd's algorithm (Bentley & Floyd, CACM 1987)
-    followed by a Fisher-Yates shuffle, which is what numpy does for samples
-    of up to 200 from up to 2^32 values; larger ones are not replayed.
-
-    Words are pulled ahead in chunks, so the generator runs ahead of the
-    draws; `sync` puts it where numpy's own calls would have left it.
+    `integers`, `random`, `choice` and `permutation` return what the
+    `Generator` methods of the same names return for bounds up to 2^32, and
+    consume the same raw words.  Bounded integers use Lemire's
+    multiply-and-reject method on 32-bit half-words (Lemire, ACM TOMACS
+    2019); PCG64 hands out a word's low half first and caches its high half
+    for the next 32-bit draw, while `random` takes a whole word.  `integers`
+    reads its half-word inline and calls `_below`, which pulls words and
+    redraws, only at a chunk end or for a low word under the bound, where
+    Lemire might reject.  Sampling without replacement is Floyd's algorithm
+    (Bentley & Floyd, CACM 1987) followed by a Fisher-Yates shuffle, which
+    is what numpy does for samples of up to 200 from up to 2^32 values;
+    larger ones are not replayed.  `permutation` shuffles with partners
+    drawn by masked rejection (numpy's `random_interval`) on the same
+    half-words.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        self._start = self._bits.state
+    def __init__(self, seed: int, *key: int):
+        self._bits = PCG64(_sequence(seed, key))
         # `_half` holds the pulled raw words split into 32-bit halves, low
-        # half first, and `_at` indexes the next 32-bit draw.  An odd `_at`
-        # points at the high half PCG64 has cached; for an even one,
-        # `_half[_at - 1]` is the last half it cached, which its state
-        # keeps (`uinteger`).  The first word stands in for the word that
-        # half came from, drawn before this object was made.
-        self._half = [0, self._start["uinteger"]]
-        self._at = 2 - self._start["has_uint32"]
-        self._word0 = -1  # raw word index of `_half[0]`
+        # half first, and `_at` indexes the next 32-bit draw; an odd `_at`
+        # points at the high half PCG64 has cached.
+        self._half: list[int] = []
+        self._at = 0
 
     def _pull(self) -> None:
-        keep = (self._at - 1) & ~1  # the word of `_at - 1`, or of `_at`
+        keep = self._at & ~1  # the word of `_at`
         raw = self._bits.random_raw(_CHUNK).astype("<u8", copy=False)
         self._half = self._half[keep:] + raw.view("<u4").tolist()
         self._at -= keep
-        self._word0 += keep >> 1
 
     def _below(self, bounds) -> list[int]:
         """One draw on [0, b) for each bound 1 < b <= 2^32 in `bounds`."""
@@ -130,7 +117,7 @@ class Draws:
             # drawn, and the cached value moves to that word's high slot
             low, high, half[at + 2] = half[at + 1], half[at + 2], half[at]
         else:
-            low, high, half[at + 1] = half[at], half[at + 1], half[at - 1]
+            low, high = half[at], half[at + 1]
         self._at = at + 2
         return ((high << 21) | (low >> 11)) * 2.0**-53
 
@@ -153,14 +140,18 @@ class Draws:
             picks[i], picks[j] = picks[j], picks[i]
         return picks
 
-    def sync(self) -> None:
-        """Leave the generator exactly where numpy's own calls would, for
-        the draw-for-draw tests to compare its state with numpy's."""
-        at = self._at
-        bits = self._bits
-        bits.state = self._start
-        bits.advance(self._word0 + (at + 1) // 2)
-        state = bits.state
-        state["has_uint32"] = at & 1
-        state["uinteger"] = self._half[at if at & 1 else at - 1]
-        bits.state = state
+    def permutation(self, n: int) -> list[int]:
+        """`Generator.permutation(n)` as a list of ints: Fisher-Yates from
+        the top, each partner `j` of position `i` a half-word masked to
+        `i`'s bit length and redrawn while above `i`."""
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = i + 1
+            while j > i:
+                if self._at == len(self._half):
+                    self._pull()
+                j = self._half[self._at] & mask
+                self._at += 1
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm

@@ -191,6 +191,16 @@ def numpy_op_neighborhood(perm, rng):
 NUMPY_NEIGHBORHOOD_OPS = (numpy_op_swap, numpy_op_reversion, numpy_op_neighborhood)
 
 
+def assert_same_position(draws, rng):
+    """`draws` stands on the half-word where numpy's own calls left `rng`:
+    a tail of whole half-words (`integers(2**32)` never rejects), a whole
+    word that keeps any cached half cached, and a shuffle agrees on both."""
+    assert draws.integers(2**32) == rng.integers(2**32)
+    assert draws.random() == rng.random()
+    assert draws.integers(2**32) == rng.integers(2**32)
+    assert draws.permutation(20) == rng.permutation(20).tolist()
+
+
 def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
     """The descent as first written: every neighbour gets a full `evaluate`,
     every pass ranks its pool and picks the most crowded rank-1 member,

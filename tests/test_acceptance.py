@@ -7,7 +7,6 @@ import random
 import time
 from dataclasses import replace
 
-import numpy as np
 
 from greenflowshop.harness import average_pcts, make_record, percent_diffs
 from greenflowshop.instance import Instance, load_table3, taillard_instance
@@ -191,7 +190,7 @@ def test_criterion_7_benchmark_properties():
 
 
 def test_criterion_8_property_suites():
-    draws = Draws(np.random.default_rng(2024))  # replayed draws, as in the solver
+    draws = Draws(2024)  # replayed draws, as in the solver
     py = random.Random(2024)
 
     def is_perm(p, n):

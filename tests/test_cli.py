@@ -120,7 +120,23 @@ class TestReadme:
             pytest.fail(f"README command does not parse: {line}")
 
 
+# sha256 of `generate`'s stdout: 60x20 at seed 3 draws 1,220 numbers, more
+# than the 1,024 half-words of one pulled chunk; 1x1 at the default seed
+# draws two.
+_GENERATE_OUTPUTS = [
+    (["--jobs", "60", "--machines", "20", "--seed", "3"],
+     "218eab10696469cd33d4b65d5e333b21f1d3f34d0a58ee4ca60b3a6daa72d288"),
+    (["--jobs", "1", "--machines", "1"],
+     "8727a4eec223e3e1fa8843e6072ab990a4ebbebe9a1be2fde06563e89531ab9a"),
+]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("argv, expected", _GENERATE_OUTPUTS, ids=["60x20", "1x1"])
+    def test_output_bytes_pinned(self, capsys, argv, expected):
+        assert run(["generate", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
     def test_writes_loadable_instance(self, tmp_path):
         out = tmp_path / "inst.txt"
         assert run(["generate", "--jobs", "6", "--machines", "3",

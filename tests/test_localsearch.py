@@ -23,6 +23,7 @@ from greenflowshop.pareto import Individual, dominates
 from greenflowshop.seeding import Draws
 from support import (
     NUMPY_NEIGHBORHOOD_OPS,
+    assert_same_position,
     enumerate_front,
     random_instance,
     reference_vnd_explore,
@@ -49,31 +50,31 @@ class TestPrimitives:
 
 class TestOperators:
     def test_swap_returns_two(self):
-        out = op_swap((0, 1, 2, 3), Draws(np.random.default_rng(0)))
+        out = op_swap((0, 1, 2, 3), Draws(0))
         assert len(out) == 2
         for _, p in out:
             assert sorted(p) == [0, 1, 2, 3]
 
     def test_reversion_returns_two(self):
-        out = op_reversion((0, 1, 2, 3, 4), Draws(np.random.default_rng(0)))
+        out = op_reversion((0, 1, 2, 3, 4), Draws(0))
         assert len(out) == 2
         for _, p in out:
             assert sorted(p) == [0, 1, 2, 3, 4]
 
     def test_neighborhood_returns_ten(self):
-        out = op_neighborhood((0, 1, 2), Draws(np.random.default_rng(0)))
+        out = op_neighborhood((0, 1, 2), Draws(0))
         assert len(out) == 10
         for _, p in out:
             assert sorted(p) == [0, 1, 2]
 
     def test_single_job_degenerate(self):
-        rng = Draws(np.random.default_rng(0))
+        rng = Draws(0)
         assert op_swap((0,), rng) == ((1, (0,)), (1, (0,)))
         assert op_reversion((0,), rng) == ((1, (0,)), (1, (0,)))
         assert op_neighborhood((0,), rng) == tuple((1, (0,)) for _ in range(10))
 
     def test_closure_over_many_applications(self):
-        rng = Draws(np.random.default_rng(42))
+        rng = Draws(42)
         base = tuple(range(8))
         for _ in range(500):
             for op in NEIGHBORHOOD_OPS:
@@ -81,7 +82,7 @@ class TestOperators:
                     assert sorted(out) == list(range(8))
 
     def test_swap_changes_exactly_two_positions(self):
-        rng = Draws(np.random.default_rng(1))
+        rng = Draws(1)
         base = tuple(range(6))
         for _ in range(50):
             for _, out in op_swap(base, rng):
@@ -90,17 +91,15 @@ class TestOperators:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 20, 50])
     def test_replayed_draws_match_numpy(self, n):
         # each operator proposes what its numpy-drawing copy in `support`
-        # proposes, and leaves the generator in the same state
+        # proposes, and leaves its draws on the same half-word
         py = random.Random(n)
-        live, twin = np.random.default_rng(n), np.random.default_rng(n)
-        draws = Draws(twin)
+        live, draws = np.random.default_rng(n), Draws(n)
         for _ in range(300):
             perm = tuple(py.sample(range(n), n))
             a = py.randrange(3)
             perms = tuple(p for _, p in NEIGHBORHOOD_OPS[a](perm, draws))
             assert perms == NUMPY_NEIGHBORHOOD_OPS[a](perm, live)
-        draws.sync()
-        assert twin.bit_generator.state == live.bit_generator.state
+        assert_same_position(draws, live)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 50])
     def test_k_is_the_first_changed_position(self, n):
@@ -108,7 +107,7 @@ class TestOperators:
         # must be exactly where it first leaves the incumbent (n if nowhere)
         py = random.Random(n)
         for seed in range(40):
-            draws = Draws(np.random.default_rng(seed))
+            draws = Draws(seed)
             perm = tuple(py.sample(range(n), n))
             for op in NEIGHBORHOOD_OPS:
                 for k, out in op(perm, draws):
@@ -117,7 +116,7 @@ class TestOperators:
 
     def test_neighborhood_moves_distinct_when_possible(self):
         # 4 jobs allow 12 distinct (src, dst) moves, so the ten picks differ
-        rng = Draws(np.random.default_rng(3))
+        rng = Draws(3)
         base = (0, 1, 2, 3)
         for _ in range(20):
             out = op_neighborhood(base, rng)
@@ -127,26 +126,26 @@ class TestOperators:
 class TestVnd:
     def test_two_job_instance_finds_dominant_order(self):
         start = Individual((0, 1), evaluate(TOY, (0, 1)))
-        best = vnd_explore(start, TOY, 15, Draws(np.random.default_rng(0)))[0]
+        best = vnd_explore(start, TOY, 15, Draws(0))[0]
         assert best.obj == (18, 40.0)
         assert best.perm == (1, 0)
 
     def test_single_job_returns_start(self):
         inst = Instance.from_matrix([[4]], [800])
         start = Individual((0,), evaluate(inst, (0,)))
-        best = vnd_explore(start, inst, 15, Draws(np.random.default_rng(0)))[0]
+        best = vnd_explore(start, inst, 15, Draws(0))[0]
         assert best.perm == (0,)
         assert best.obj == start.obj
 
     def test_zero_budget_returns_input(self):
         start = Individual((0, 1), evaluate(TOY, (0, 1)))
-        best = vnd_explore(start, TOY, 0, Draws(np.random.default_rng(0)))[0]
+        best = vnd_explore(start, TOY, 0, Draws(0))[0]
         assert best.perm == start.perm
         assert best.obj == start.obj
 
     def test_output_contract_on_random_starts(self):
         rng_py = random.Random(8)
-        draws = Draws(np.random.default_rng(8))
+        draws = Draws(8)
         for _ in range(60):
             inst = random_instance(rng_py, 3, rng_py.randint(1, 3))
             perm = tuple(rng_py.sample(range(3), 3))
@@ -157,7 +156,7 @@ class TestVnd:
 
     def test_pareto_start_never_worsened(self):
         rng_py = random.Random(9)
-        draws = Draws(np.random.default_rng(9))
+        draws = Draws(9)
         inst = random_instance(rng_py, 3, 3)
         _, front = enumerate_front(inst)
         for perm, obj in front.items():
@@ -176,7 +175,7 @@ class TestVnd:
         _, front = enumerate_front(inst)
         for perm, obj in front.items():
             vnd_explore(Individual(perm, obj), inst, 15,
-                        Draws(np.random.default_rng(11)))
+                        Draws(11))
         assert sorts == []
 
     def test_start_never_returned_or_marked(self, monkeypatch):
@@ -190,7 +189,7 @@ class TestVnd:
         for perm, improves in (((0, 1), True), ((1, 0), False)):
             start = Individual(perm, evaluate(TOY, perm), rank=2, crowding=1.5)
             sorts.clear()
-            best, archive = vnd_explore(start, TOY, 15, Draws(np.random.default_rng(0)))
+            best, archive = vnd_explore(start, TOY, 15, Draws(0))
             assert dominates(best.obj, start.obj) == bool(sorts) == improves
             assert (start.rank, start.crowding) == (2, 1.5)
             assert best is not start
@@ -209,7 +208,7 @@ class TestVnd:
         for seed in range(12):  # seeds 5, 6 and 9 recentre before a miss, then miss
             walks = []
             for store in ({}, shared):
-                got = vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)),
+                got = vnd_explore(start, inst, 15, Draws(seed),
                                   priced=store)
                 walks.append((got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]))
             assert walks[0] == walks[1]
@@ -217,13 +216,13 @@ class TestVnd:
         calls = []
         for name in ("evaluate", "schedule_prefix"):
             monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
-        got = vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)), priced=shared)
+        got = vnd_explore(start, inst, 15, Draws(seed), priced=shared)
         assert calls == []
         assert (got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]) == walks[0]
 
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)
-        rng = Draws(np.random.default_rng(10))
+        rng = Draws(10)
         inst = random_instance(rng_py, 5, 3)
         perm = tuple(rng_py.sample(range(5), 5))
         start = Individual(perm, evaluate(inst, perm))
@@ -251,20 +250,20 @@ def descent_cases(draw):
 def _same_descent(instance, perm, max_iters, seed):
     """Without a store, and twice with one shared store (the second run
     prices nothing new), the descent walks as the reference does, and
-    after `sync` its generator is where the reference's numpy draws left
-    theirs; every stored entry is the permutation's true objectives."""
+    leaves its draws on the half-word where the reference's numpy draws
+    left theirs; every stored entry is the permutation's true objectives."""
     start = Individual(perm, evaluate(instance, perm))
     ref_rng = np.random.default_rng(seed)
     ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
+    ref_state = ref_rng.bit_generator.state
     priced = {}
     for store in (None, priced, priced):
-        rng = np.random.default_rng(seed)
-        draws = Draws(rng)
+        draws = Draws(seed)
         best, archive = vnd_explore(start, instance, max_iters, draws, priced=store)
-        draws.sync()
         assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
         assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref_rng.bit_generator.state = ref_state
+        assert_same_position(draws, ref_rng)
     for p, obj in priced.items():
         oracle = simulate_oracle(instance, p)
         assert obj == evaluate(instance, p)
@@ -298,11 +297,11 @@ class TestAgainstReference:
         inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
         start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
         for seed in range(3):
-            vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)))
+            vnd_explore(start, inst, 15, Draws(seed))
         unshared, calls[:] = len(calls), []
         priced = {}
         for seed in range(3):
-            vnd_explore(start, inst, 15, Draws(np.random.default_rng(seed)), priced=priced)
+            vnd_explore(start, inst, 15, Draws(seed), priced=priced)
         assert len(calls) == len(set(calls)) == len(priced) < unshared
 
     def test_matches_reference_on_random_shops(self):

@@ -5,10 +5,9 @@ import random
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from greenflowshop import localsearch, nsga2
+from greenflowshop import localsearch, nsga2, seeding
 from greenflowshop.instance import (
     Instance,
     check_permutation,
@@ -105,7 +104,7 @@ class TestTournament:
         a.rank, b.rank = 1, 2
         a.crowding = b.crowding = 1.0
         pop = [a, b]
-        rng = Draws(np.random.default_rng(0))
+        rng = Draws(0)
         for _ in range(10):
             assert tournament_select(pop, rng) is a
 
@@ -114,7 +113,7 @@ class TestTournament:
         a.rank = b.rank = 1
         a.crowding, b.crowding = math.inf, 4.0
         pop = [a, b]
-        rng = Draws(np.random.default_rng(0))
+        rng = Draws(0)
         for _ in range(10):
             assert tournament_select(pop, rng) is a
 
@@ -125,7 +124,7 @@ class TestTournament:
         pop = [ind(k, size - k) for k in range(size)]
         for member in pop:
             member.rank, member.crowding = 1, 4.0
-        draws, twin = Draws(np.random.default_rng(5)), Draws(np.random.default_rng(5))
+        draws, twin = Draws(5), Draws(5)
         for _ in range(30):
             first, _ = twin.choice(size, 2)
             assert tournament_select(pop, draws) is pop[first]
@@ -135,21 +134,21 @@ class TestTournament:
         a.rank = b.rank = 1
         a.crowding = b.crowding = 1.0
         pop = [a, b]
-        rng = Draws(np.random.default_rng(1))
+        rng = Draws(1)
         for _ in range(20):
             assert tournament_select(pop, rng) in pop
 
 
 class TestOrderCrossover:
     def test_identical_parents_fixed_point(self):
-        rng = Draws(np.random.default_rng(0))
+        rng = Draws(0)
         p = (3, 1, 4, 0, 2)
         for _ in range(20):
             ca, cb = order_crossover(p, p, rng)
             assert ca == p and cb == p
 
     def test_closure(self):
-        rng = Draws(np.random.default_rng(7))
+        rng = Draws(7)
         py = random.Random(7)
         for _ in range(200):
             n = py.randint(2, 9)
@@ -171,7 +170,7 @@ class TestOrderCrossover:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            order_crossover((0, 1), (0, 1, 2), Draws(np.random.default_rng(0)))
+            order_crossover((0, 1), (0, 1, 2), Draws(0))
 
     def test_child_matches_reference_for_every_cut_pair(self):
         # Renaming the jobs renames the child alike, so an identity keeper
@@ -196,7 +195,7 @@ class TestOrderCrossover:
 
 class TestSwapMutation:
     def test_preserves_jobs(self):
-        rng = Draws(np.random.default_rng(0))
+        rng = Draws(0)
         base = tuple(range(7))
         for _ in range(100):
             out = swap_mutation(base, rng)
@@ -204,7 +203,7 @@ class TestSwapMutation:
             assert sum(a != b for a, b in zip(base, out)) == 2
 
     def test_single_job_identity(self):
-        assert swap_mutation((0,), Draws(np.random.default_rng(0))) == (0,)
+        assert swap_mutation((0,), Draws(0)) == (0,)
 
 
 def elite_retention(parents, offspring):
@@ -391,29 +390,38 @@ class TestSeededFronts:
         assert _front_fingerprint(evolve(instance(), config)) == expected
 
 
-class _RawStreamOnly:
-    """A generator stand-in with the raw bit stream only, plus `permutation`
-    on the initial population's stream."""
+class _RawOnly:
+    """A PCG64 stand-in with the raw bit stream only: calling a `Generator`
+    method, or building a `Generator` on it, fails.  `made` counts the
+    streams built, by the first entry of their spawn key (None for none)."""
 
-    def __init__(self, rng, key):
-        self.bit_generator = rng.bit_generator
-        if key[0] == STREAM_INIT:
-            self.permutation = rng.permutation
+    made: Counter = Counter()
+    pcg64 = seeding.PCG64  # the real one, bound before any test patches it
+
+    def __init__(self, sequence):
+        self.random_raw = self.pcg64(sequence).random_raw
+        _RawOnly.made[sequence.spawn_key[0] if sequence.spawn_key else None] += 1
 
 
 class TestRawStreamOnly:
-    def test_variation_and_descent_call_no_generator_method(self, table3, monkeypatch):
-        made = Counter()
-        stream = nsga2.stream
+    """Every seeded draw in `src/` reads the raw stream alone."""
 
-        def raw_stream_only(seed, *key):
-            made[key[0]] += 1
-            return _RawStreamOnly(stream(seed, *key), key)
+    @pytest.fixture(autouse=True)
+    def raw_only(self, monkeypatch):
+        monkeypatch.setattr(_RawOnly, "made", Counter())
+        monkeypatch.setattr(seeding, "PCG64", _RawOnly)
 
-        monkeypatch.setattr(nsga2, "stream", raw_stream_only)
+    def test_evolve_calls_no_generator_method(self, table3, monkeypatch):
         front = evolve(table3, RunConfig())
-        assert front
-        assert made == {STREAM_INIT: 1, STREAM_VARIATION: 50, STREAM_LOCAL: 50}
+        assert _RawOnly.made == {STREAM_INIT: 1, STREAM_VARIATION: 50, STREAM_LOCAL: 50}
+        monkeypatch.undo()
+        assert _front_fingerprint(front) == _front_fingerprint(evolve(table3, RunConfig()))
+
+    def test_generate_calls_no_generator_method(self, monkeypatch):
+        instance = generate_instance(60, 20, 3)
+        assert _RawOnly.made == {None: 1}
+        monkeypatch.undo()
+        assert instance == generate_instance(60, 20, 3)
 
 
 class TestPricedOnce:

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -224,6 +223,18 @@ class TestPrefix:
         with pytest.raises(ValueError, match="start"):
             schedule_prefix(TOY, (1, 0), prefix, start)
 
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_prefix_that_disagrees_before_start_is_refused(self, start):
+        # resuming (1, 0) from (0, 1)'s states would price it as (19, 60.0)
+        # at start 2 instead of (18, 40.0), and build wrong states
+        prefix = schedule_prefix(TOY, (0, 1))
+        with pytest.raises(ValueError, match="differs"):
+            evaluate(TOY, (1, 0), prefix=prefix, start=start)
+        with pytest.raises(ValueError, match="differs"):
+            schedule_prefix(TOY, (1, 0), prefix, start)
+        assert evaluate(TOY, (1, 0), prefix=prefix, start=0) == (18, 40.0)
+        assert schedule_prefix(TOY, (1, 0), prefix, 0) == schedule_prefix(TOY, (1, 0))
+
 
 class TestEveryMachineCount:
     """Each machine count compiles its own kernel; `shops()` draws at most
@@ -245,7 +256,7 @@ class TestEveryMachineCount:
             assert repr(got.energy) == repr(expected.energy)
             prefix = schedule_prefix(inst, perm)
             assert prefix.states == reference_states(inst, perm)
-            draws = Draws(np.random.default_rng(m))
+            draws = Draws(m)
             for op in NEIGHBORHOOD_OPS:  # resumed at each move's first changed position
                 for start, other in op(perm, draws):
                     got = evaluate(inst, other, prefix=prefix, start=start)
