@@ -139,12 +139,10 @@ def _power_source(spec: str):
     return leading
 
 
-def _load_tasks(spec: str, powers_spec: str) -> list[harness.BenchTask]:
+def _load_tasks(spec: str, powers) -> list[harness.BenchTask]:
     """Every instance `spec` names, labelled for benchmark records: built-in
     `table3`, a native file, or the `ta20x5` set or each block of a
-    Taillard file with powers from `powers_spec`.  The power file is
-    checked for every spec, including those that keep their own powers."""
-    powers = _power_source(powers_spec)
+    Taillard file with `powers(n_machines)` from `_power_source`."""
     if spec == "table3":
         return [harness.BenchTask("table3", 1, load_table3())]
     if spec == "ta20x5":
@@ -185,7 +183,7 @@ def _check_outputs(*paths, inputs=()) -> None:
 
 
 def _load_instance(args) -> Instance:
-    tasks = _load_tasks(args.instance, args.powers)
+    tasks = _load_tasks(args.instance, _power_source(args.powers))
     if not 1 <= args.index <= len(tasks):
         raise IndexError(f"instance index {args.index} outside 1..{len(tasks)}")
     return tasks[args.index - 1].instance
@@ -237,7 +235,8 @@ def _cmd_tune(args) -> int:
 def _cmd_bench(args) -> int:
     out = args.out or "bench.csv"
     _check_outputs(out, args.json, inputs=_input_files(args.instances, args.powers))
-    tasks = [task for spec in args.instances for task in _load_tasks(spec, args.powers)]
+    powers = _power_source(args.powers)  # read and checked once, before any instance file
+    tasks = [task for spec in args.instances for task in _load_tasks(spec, powers)]
 
     def progress(task, done, total):
         print(f"{task.problem} #{task.dataset}: run {done}/{total}", file=sys.stderr)

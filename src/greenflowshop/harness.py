@@ -111,42 +111,35 @@ def make_record(problem: str, dataset: int, front: list[Individual]) -> BenchRec
     )
 
 
-def solve_runs(runs, on_solved=None) -> list[list[Individual]]:
-    """Fronts of `(instance, config, key)` runs in run order, each solved under
-    the seed `child_seed(config.seed, *key)`; `on_solved(k)` follows run k.
-    Every run of a `bench` or `tune` campaign is seeded and solved here."""
-    fronts = []
-    for k, (instance, config, key) in enumerate(runs):
-        fronts.append(evolve(instance, replace(config, seed=child_seed(config.seed, *key))))
-        if on_solved is not None:
-            on_solved(k)
-    return fronts
+def solve_runs(runs):
+    """Yield the front of each `(instance, config, key)` run in run order, solved
+    under the seed `child_seed(config.seed, *key)`; nothing runs before it is
+    asked for.  Every run of a `bench` or `tune` campaign is seeded and solved here."""
+    for instance, config, key in runs:
+        yield evolve(instance, replace(config, seed=child_seed(config.seed, *key)))
 
 
-def run_benchmark(
-    tasks: list[BenchTask],
-    config: RunConfig,
-    repeats: int,
-    on_progress=None,
-) -> list[BenchRecord]:
-    """Solve every task `repeats` times, merge each task's fronts into one
-    non-dominated set, and record its extreme points.
+def run_benchmark(tasks: list[BenchTask], config: RunConfig, repeats: int,
+                  on_progress=None) -> list[BenchRecord]:
+    """Solve each task `repeats` times, `on_progress(task, r, repeats)` after
+    run r, merge its fronts into one non-dominated set and record its extremes.
 
     Run seeds derive from the config seed and the task/repeat indices, so a
     rerun with the same root seed reproduces the report bit for bit.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    runs = [(task.instance, config, (STREAM_BENCH, t, r))
-            for t, task in enumerate(tasks) for r in range(repeats)]
-
-    def progress(k):  # runs go task by task, repeat by repeat
-        on_progress(tasks[k // repeats], k % repeats + 1, repeats)
-
-    fronts = solve_runs(runs, None if on_progress is None else progress)
-    return [make_record(task.problem, task.dataset,
-                        merge_fronts(fronts[t * repeats:(t + 1) * repeats]))
-            for t, task in enumerate(tasks)]
+    fronts = solve_runs((task.instance, config, (STREAM_BENCH, t, r))
+                        for t, task in enumerate(tasks) for r in range(repeats))
+    records = []
+    for task in tasks:  # runs go task by task, repeat by repeat
+        solved = []
+        for r in range(1, repeats + 1):
+            solved.append(next(fronts))
+            if on_progress is not None:
+                on_progress(task, r, repeats)
+        records.append(make_record(task.problem, task.dataset, merge_fronts(solved)))
+    return records
 
 
 def average_pcts(pairs) -> tuple[float, float]:

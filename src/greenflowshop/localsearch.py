@@ -128,9 +128,9 @@ def vnd_explore(
     incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
     incumbent is not rank 1 and changes no other member's rank-1 status,
     so it is left out of the pool.  Ranking draws no random numbers.
-    Neighbours are priced from the incumbent's `Prefix` at their first
-    changed position.  It is built at the first neighbour missing from
-    `priced`, and a recentre extends one already built.
+    A neighbour is priced as `evaluate(prefix, perm, kappa, k)` from the
+    incumbent's `Prefix`, built on `instance` at the first neighbour missing
+    from `priced`; a recentre builds the pick's from it at the pick's `k`.
 
     `priced`, when given, maps permutations to their objectives: a
     neighbour found there is not evaluated, and every other neighbour's
@@ -159,7 +159,7 @@ def vnd_explore(
             if obj is None:
                 if prefix is None:
                     prefix = schedule_prefix(instance, best_perm)
-                obj = evaluate(instance, perm, kappa, prefix, k)
+                obj = evaluate(prefix, perm, kappa, k)
                 if priced is not None:
                     priced[perm] = obj
             pool.append((obj, perm, k))
@@ -181,7 +181,7 @@ def vnd_explore(
                 best_perm, best_obj = pick.perm, pick.obj
                 if prefix is not None:
                     k = pool[ranked.index(pick)][2]
-                    prefix = schedule_prefix(instance, best_perm, prefix, k)
+                    prefix = schedule_prefix(prefix, best_perm, k)
                 failures = 0
                 continue
         a = (a + 1) % 3

@@ -11,9 +11,9 @@ The recurrence keeps only the time each machine comes free.  From 0 to its
 last completion a machine is either processing or on standby, so its
 standby minutes are its final free time minus its total processing
 minutes (`Instance.machine_load`).  A `Prefix` holds that state after each
-position of one permutation; `evaluate(prefix=, start=)` resumes from it at
-`start`, the first position a descent move changed, and prices the rest,
-power-minutes included, in one compiled call.
+position of one permutation on its instance; `evaluate(prefix, perm, kappa,
+start)` resumes from it at `start`, the first position a descent move
+changed, and prices the rest, power-minutes included, in one compiled call.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ class Objectives(NamedTuple):
 
 
 class Prefix(NamedTuple):
-    """The recurrence state of `perm` after each of its positions:
-    `states[i]` is (each machine's free time, flowtime) once the first `i`
-    jobs are scheduled, so `states[0]` is all zeros."""
+    """The recurrence state of `perm` on `instance` after each of its
+    positions: `states[i]` is (each machine's free time, flowtime) once the
+    first `i` jobs are scheduled, so `states[0]` is all zeros."""
 
+    instance: Instance
     perm: tuple[int, ...]
     states: list[tuple[tuple[int, ...], int]]
 
@@ -79,13 +80,17 @@ def _kernel(m: int):
     return namespace["advance"]
 
 
-def _advance(instance: Instance, perm, prefix: Prefix | None, start: int, states=None):
-    """The kernel over `perm` from `prefix.states[start]` (all zeros without
-    a prefix); `states`, if given, gets that state and every later one."""
-    if prefix is None:
+def _advance(base: Instance | Prefix, perm, start: int, states=None):
+    """Check `perm` and run the kernel over it, from all zeros on an `Instance`
+    base or from `base.states[start]` on a `Prefix`'s instance; `states`, if
+    given, gets that state and every later one."""
+    resume = type(base) is Prefix
+    instance = base.instance if resume else base
+    check_permutation(perm, instance.n_jobs)
+    if not resume:
         start, state = 0, ((0,) * instance.n_machines, 0)
-    elif 0 <= start <= len(perm) and prefix.perm[:start] == tuple(perm[:start]):
-        state = prefix.states[start]
+    elif 0 <= start <= len(perm) and base.perm[:start] == tuple(perm[:start]):
+        state = base.states[start]
     else:
         raise ValueError(f"start {start!r} is outside 0..{len(perm)}"
                          " or the prefix differs from perm before it")
@@ -95,33 +100,30 @@ def _advance(instance: Instance, perm, prefix: Prefix | None, start: int, states
                                         instance.fixed_power, instance.machine_load, states)
 
 
-def schedule_prefix(instance: Instance, perm, base: Prefix | None = None, start: int = 0) -> Prefix:
-    """The per-position recurrence state of `perm`, for `evaluate(prefix=)`;
-    with a `base` of the same instance whose permutation agrees with
-    `perm` before position `start`, its states up to there are reused."""
-    check_permutation(perm, instance.n_jobs)
-    states = [] if base is None else base.states[:start]
-    _advance(instance, perm, base, start, states)
-    return Prefix(tuple(perm), states)
+def schedule_prefix(base: Instance | Prefix, perm, start: int = 0) -> Prefix:
+    """The per-position recurrence state of `perm`, a base for `evaluate`;
+    from a `Prefix` whose permutation agrees with `perm` before position
+    `start`, its states up to there are reused, on its instance."""
+    resume = type(base) is Prefix
+    states = base.states[:start] if resume else []
+    _advance(base, perm, start, states)
+    return Prefix(base.instance if resume else base, tuple(perm), states)
 
 
-def evaluate(
-    instance: Instance, perm, kappa: float = DEFAULT_KAPPA,
-    prefix: Prefix | None = None, start: int = 0,
-) -> Objectives:
+def evaluate(base: Instance | Prefix, perm, kappa: float = DEFAULT_KAPPA,
+             start: int = 0) -> Objectives:
     """Total flowtime and standby energy of `perm`, in one recurrence.
 
     Standby on machine j is its last completion minus its processing
     minutes; machine 1 never waits, so its power is never charged.  The
     power-minutes are summed over machines 2..m from 0.0 and scaled by
-    `kappa` once.  With a `prefix` of the same instance whose permutation
-    agrees with `perm` before position `start` (the descent passes the
-    first changed one), the recurrence resumes from its state there; the
-    result is the same either way, and a prefix that disagrees there
-    raises ValueError.  Without a prefix, `start` is unused.
+    `kappa` once.  A `Prefix` base whose permutation agrees with `perm`
+    before position `start` (the descent passes the first changed one)
+    resumes the recurrence from its state there, on the prefix's instance;
+    the result is the same as from an `Instance` base, where `start` is
+    unused, and a prefix that disagrees there raises ValueError.
     """
-    check_permutation(perm, instance.n_jobs)
-    flowtime, power_minutes = _advance(instance, perm, prefix, start)
+    flowtime, power_minutes = _advance(base, perm, start)
     return Objectives(flowtime, power_minutes * kappa)
 
 

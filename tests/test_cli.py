@@ -12,7 +12,7 @@ from greenflowshop import cli as cli_module
 from greenflowshop import harness as harness_module
 from greenflowshop import instance as instance_module
 from greenflowshop import tuning
-from greenflowshop.cli import _HANDLERS, _build_parser, _config, _load_tasks, cli
+from greenflowshop.cli import _HANDLERS, _build_parser, _config, cli
 from greenflowshop.harness import (
     BenchTask,
     read_bench_csv,
@@ -376,11 +376,13 @@ class TestBench:
 
     def test_taillard_file_parsed_once_and_powers_read_once(self, tmp_path, monkeypatch):
         block = "2 2 9 0 0\ntimes:\n3 2\n4 5\n"
-        path = tmp_path / "three.txt"
-        path.write_text("header:\n" + block * 3)
+        first, second = tmp_path / "three.txt", tmp_path / "two.txt"
+        texts = ["header:\n" + block * 3, "header:\n" + block * 2]
+        first.write_text(texts[0])
+        second.write_text(texts[1])
         powers = tmp_path / "powers.txt"
         powers.write_text("600 1200 900\n")
-        parses, reads = [], []
+        parses, reads, instances = [], [], []
         parse, read_text = instance_module.parse_taillard, Path.read_text
 
         def counted_parse(text):
@@ -391,15 +393,24 @@ class TestBench:
             reads.append(self)
             return read_text(self, *args, **kwargs)
 
+        def recorded_evolve(instance, config):
+            instances.append(instance)
+            return evolve(instance, config)
+
         # every Taillard parser of `instance` goes through its module binding
         monkeypatch.setattr(instance_module, "parse_taillard", counted_parse)
         monkeypatch.setattr(cli_module, "parse_taillard", counted_parse)
         monkeypatch.setattr(Path, "read_text", counted_read)
-        tasks = _load_tasks(str(path), str(powers))
-        assert [task.dataset for task in tasks] == [1, 2, 3]
-        assert all(task.instance == TOY for task in tasks)
-        assert len(parses) == 1
-        assert reads.count(powers) == 1
+        monkeypatch.setattr(harness_module, "evolve", recorded_evolve)
+        out = tmp_path / "bench.csv"
+        assert run(["bench", str(first), str(second), "--powers", str(powers), "--pop", "4",
+                    "--gen", "1", "--runs", "1", "--out", str(out)]) == 0
+        assert [(r.problem, r.dataset) for r in read_bench_csv(out)] == [
+            ("three", 1), ("three", 2), ("three", 3), ("two", 1), ("two", 2)]
+        assert instances == [TOY] * 5
+        assert parses == texts
+        # the power file once, and before any instance file
+        assert reads == [powers, first, second]
 
     @pytest.mark.parametrize("text", [
         "3 1\n4\n2\n5\n900\n",

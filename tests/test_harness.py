@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from greenflowshop import harness as harness_module
 from greenflowshop.harness import (
     BenchRecord,
     BenchTask,
@@ -12,6 +14,7 @@ from greenflowshop.harness import (
     percent_diffs,
     read_bench_csv,
     run_benchmark,
+    solve_runs,
     write_bench_csv,
     write_bench_json,
     write_front_csv,
@@ -21,6 +24,7 @@ from greenflowshop.instance import Instance
 from greenflowshop.nsga2 import RunConfig, evolve
 from greenflowshop.objectives import Objectives
 from greenflowshop.pareto import Individual, dominates
+from greenflowshop.seeding import STREAM_BENCH, STREAM_TUNING, child_seed
 
 from support import (
     GROUP_PCTS,
@@ -120,6 +124,30 @@ class TestMergeFronts:
         assert merge_fronts([]) == []
 
 
+class TestSolveRuns:
+    def test_fronts_come_lazily_in_run_order(self, table3, monkeypatch):
+        solved = []
+
+        def recorded_evolve(instance, config):
+            solved.append((instance, config.seed))
+            return evolve(instance, config)
+
+        monkeypatch.setattr(harness_module, "evolve", recorded_evolve)
+        config = RunConfig(pop_size=6, generations=2, seed=11)
+        runs = [(TOY, config, (STREAM_BENCH, 0, 0)),
+                (table3, replace(config, seed=3), (STREAM_BENCH, 1, 0)),
+                (TOY, config, (STREAM_TUNING, 2))]
+        fronts = solve_runs(runs)
+        assert solved == []  # nothing runs before the first front is asked for
+        for k, (instance, run_config, key) in enumerate(runs):
+            front = next(fronts)
+            seed = child_seed(run_config.seed, *key)
+            assert solved[k:] == [(instance, seed)]
+            expected = evolve(instance, replace(run_config, seed=seed))
+            assert [(i.perm, i.obj) for i in front] == [(i.perm, i.obj) for i in expected]
+        assert next(fronts, None) is None
+
+
 class TestRunBenchmark:
     def test_toy_instance_single_record(self):
         tasks = [BenchTask("toy2x2", 1, TOY)]
@@ -143,6 +171,20 @@ class TestRunBenchmark:
         assert rec.ft1 <= rec.ft2
         assert rec.ec2 <= rec.ec1
         assert rec.pct_ft >= 0 and rec.pct_ec >= 0
+
+    def test_progress_follows_each_run(self, monkeypatch):
+        events = []
+
+        def recorded_evolve(instance, config):
+            events.append("solve")
+            return evolve(instance, config)
+
+        monkeypatch.setattr(harness_module, "evolve", recorded_evolve)
+        tasks = [BenchTask("toy", 1, TOY), BenchTask("toy", 2, TOY)]
+        run_benchmark(tasks, RunConfig(pop_size=4, generations=1, seed=2), 2,
+                      on_progress=lambda task, r, total: events.append((task.dataset, r, total)))
+        assert events == ["solve", (1, 1, 2), "solve", (1, 2, 2),
+                          "solve", (2, 1, 2), "solve", (2, 2, 2)]
 
     def test_repeats_validated(self):
         with pytest.raises(ValueError):

@@ -187,12 +187,12 @@ class TestPrefix:
     def test_prefix_path_agrees_exactly(self, move, kappa):
         inst, incumbent, neighbour, start = move
         prefix = schedule_prefix(inst, incumbent)
-        got = evaluate(inst, neighbour, kappa, prefix, start)
+        got = evaluate(prefix, neighbour, kappa, start)
         for expected in (evaluate(inst, neighbour, kappa),
                          simulate_oracle(inst, neighbour, kappa)):
             assert got.flowtime == expected.flowtime
             assert repr(got.energy) == repr(expected.energy)
-        resumed = schedule_prefix(inst, neighbour, prefix, start)
+        resumed = schedule_prefix(prefix, neighbour, start)
         assert resumed == schedule_prefix(inst, neighbour)
 
     def test_states_follow_the_worked_example(self):
@@ -203,14 +203,14 @@ class TestPrefix:
     def test_prefix_does_not_skip_the_permutation_check(self):
         prefix = schedule_prefix(TOY, (0, 1))
         with pytest.raises(ValueError):
-            evaluate(TOY, (0, 0), prefix=prefix)
+            evaluate(prefix, (0, 0))
 
     def test_prefix_of_a_non_permutation_is_refused(self):
         # every neighbour resumed from such a prefix would be mispriced
         with pytest.raises(ValueError, match="bijection"):
             schedule_prefix(TOY, (0, 0))
         with pytest.raises(ValueError, match="bijection"):
-            schedule_prefix(TOY, (1, 1), schedule_prefix(TOY, (0, 1)), 0)
+            schedule_prefix(schedule_prefix(TOY, (0, 1)), (1, 1), 0)
         with pytest.raises(ValueError, match="length"):
             schedule_prefix(TOY, (0,))
 
@@ -219,9 +219,9 @@ class TestPrefix:
         # a negative start would index the states from the end and misprice
         prefix = schedule_prefix(TOY, (0, 1))
         with pytest.raises(ValueError, match="start"):
-            evaluate(TOY, (1, 0), prefix=prefix, start=start)
+            evaluate(prefix, (1, 0), start=start)
         with pytest.raises(ValueError, match="start"):
-            schedule_prefix(TOY, (1, 0), prefix, start)
+            schedule_prefix(prefix, (1, 0), start)
 
     @pytest.mark.parametrize("start", [1, 2])
     def test_prefix_that_disagrees_before_start_is_refused(self, start):
@@ -229,11 +229,28 @@ class TestPrefix:
         # at start 2 instead of (18, 40.0), and build wrong states
         prefix = schedule_prefix(TOY, (0, 1))
         with pytest.raises(ValueError, match="differs"):
-            evaluate(TOY, (1, 0), prefix=prefix, start=start)
+            evaluate(prefix, (1, 0), start=start)
         with pytest.raises(ValueError, match="differs"):
-            schedule_prefix(TOY, (1, 0), prefix, start)
-        assert evaluate(TOY, (1, 0), prefix=prefix, start=0) == (18, 40.0)
-        assert schedule_prefix(TOY, (1, 0), prefix, 0) == schedule_prefix(TOY, (1, 0))
+            schedule_prefix(prefix, (1, 0), start)
+        assert evaluate(prefix, (1, 0), start=0) == (18, 40.0)
+        assert schedule_prefix(prefix, (1, 0), 0) == schedule_prefix(TOY, (1, 0))
+
+    def test_prefix_prices_on_its_own_instance(self):
+        # a prefix carries the shop it was built on, so a resume cannot mix
+        # one shop's states with another's times (`other` alone gives (29, 180.0))
+        other = Instance.from_matrix([[9, 1], [1, 9]], [600, 1200])
+        prefix = schedule_prefix(TOY, (0, 1))
+        assert prefix.instance is TOY
+        assert evaluate(prefix, (0, 1), start=1) == evaluate(TOY, (0, 1)) == (19, 60.0)
+        assert evaluate(other, (0, 1)) == (29, 180.0)
+        assert schedule_prefix(prefix, (1, 0), 0).instance is TOY
+        assert schedule_prefix(prefix, (0, 1), 1) == prefix
+        with pytest.raises(TypeError):
+            evaluate(other, (0, 1), prefix=prefix, start=1)
+        with pytest.raises(TypeError):
+            evaluate(other, (0, 1), DEFAULT_KAPPA, prefix, 1)
+        with pytest.raises(TypeError):
+            schedule_prefix(other, (0, 1), prefix, 1)
 
 
 class TestEveryMachineCount:
@@ -259,10 +276,10 @@ class TestEveryMachineCount:
             draws = Draws(m)
             for op in NEIGHBORHOOD_OPS:  # resumed at each move's first changed position
                 for start, other in op(perm, draws):
-                    got = evaluate(inst, other, prefix=prefix, start=start)
+                    got = evaluate(prefix, other, start=start)
                     for expected in (evaluate(inst, other), simulate_oracle(inst, other)):
                         assert got.flowtime == expected.flowtime
                         assert repr(got.energy) == repr(expected.energy)
                     assert m > 1 or repr(got.energy) == "0.0"  # nothing is charged
-                    resumed = schedule_prefix(inst, other, prefix, start)
+                    resumed = schedule_prefix(prefix, other, start)
                     assert resumed == schedule_prefix(inst, other)
