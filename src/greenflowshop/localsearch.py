@@ -6,8 +6,8 @@ two neighbours per call, job reinsertion proposes ten, each as `(k, perm)`
 with `k` its first changed position.  The descent keeps a single
 incumbent, recenters on it whenever some neighbour strictly dominates it,
 and stops once all three operators fail in a row or the iteration budget
-runs out.  A neighbour is priced from the incumbent's recurrence state at
-`k`, built at the first neighbour missing from the `priced` store.  The
+runs out.  A neighbour is priced, unchecked, from the incumbent's state at
+`k`, built (checked) at the first neighbour missing from the store.  The
 walk carries its incumbent and its archive as plain (objectives,
 permutation) pairs; `Individual`s are built only for the passes that rank
 their pool and for the result.
@@ -16,7 +16,7 @@ their pool and for the result.
 from __future__ import annotations
 
 from .instance import Instance
-from .objectives import DEFAULT_KAPPA, Objectives, evaluate, schedule_prefix
+from .objectives import DEFAULT_KAPPA, Objectives, Prefix, _kernel, schedule_prefix
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 from .seeding import Draws
 
@@ -106,6 +106,16 @@ def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ..
 NEIGHBORHOOD_OPS = (op_swap, op_reversion, op_neighborhood)
 
 
+def evaluate(prefix: Prefix, perm, kappa: float, k: int) -> Objectives:
+    """The kernel's price of `perm` from `prefix.states[k]`, unchecked: the
+    prefix comes from a checked `schedule_prefix`, and an operator's
+    `(k, perm)` is a permutation agreeing with `prefix.perm` before `k`."""
+    inst = prefix.instance
+    flowtime, power_minutes = _kernel(inst.n_machines)(
+        inst.proc_time, perm, k, prefix.states[k], inst.fixed_power, inst.machine_load)
+    return Objectives(flowtime, power_minutes * kappa)
+
+
 def vnd_explore(
     start: Individual,
     instance: Instance,
@@ -128,15 +138,15 @@ def vnd_explore(
     incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
     incumbent is not rank 1 and changes no other member's rank-1 status,
     so it is left out of the pool.  Ranking draws no random numbers.
-    A neighbour is priced as `evaluate(prefix, perm, kappa, k)` from the
-    incumbent's `Prefix`, built on `instance` at the first neighbour missing
-    from `priced`; a recentre builds the pick's from it at the pick's `k`.
+    Neighbours are priced by the unchecked `evaluate` above from the
+    incumbent's `Prefix`, built by a checked `schedule_prefix` at the first
+    store miss and at each recentre (from the old one at the pick's `k`).
 
     `priced`, when given, maps permutations to their objectives: a
     neighbour found there is not evaluated, and every other neighbour's
     objectives are added to it.  Descents from one start can share it, so a
     neighbour is priced once however many of them propose it.  The walk is
-    the same with or without it: `evaluate` is a pure function of the
+    the same with or without it: a price is a pure function of the
     permutation, and the lookup sits after the neighbours are drawn.
 
     Returns the final incumbent (a new `Individual` equal to `start` or

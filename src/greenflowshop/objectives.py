@@ -11,9 +11,10 @@ The recurrence keeps only the time each machine comes free.  From 0 to its
 last completion a machine is either processing or on standby, so its
 standby minutes are its final free time minus its total processing
 minutes (`Instance.machine_load`).  A `Prefix` holds that state after each
-position of one permutation on its instance; `evaluate(prefix, perm, kappa,
-start)` resumes from it at `start`, the first position a descent move
-changed, and prices the rest, power-minutes included, in one compiled call.
+position of one permutation on its instance.  `evaluate` checks and prices
+from scratch.  The descent resumes unchecked, in `localsearch.evaluate`,
+from its incumbent's `Prefix` (built by the checked `schedule_prefix`) at
+a move's first changed position, before which the move agrees with it.
 """
 
 from __future__ import annotations
@@ -80,50 +81,39 @@ def _kernel(m: int):
     return namespace["advance"]
 
 
-def _advance(base: Instance | Prefix, perm, start: int, states=None):
-    """Check `perm` and run the kernel over it, from all zeros on an `Instance`
-    base or from `base.states[start]` on a `Prefix`'s instance; `states`, if
-    given, gets that state and every later one."""
-    resume = type(base) is Prefix
-    instance = base.instance if resume else base
+def schedule_prefix(base: Instance | Prefix, perm, start: int = 0) -> Prefix:
+    """The checked per-position recurrence state of `perm`, from which the
+    descent prices neighbours.  From a `Prefix` whose permutation agrees
+    with `perm` before position `start`, its states up to there are reused
+    on its instance; any other `start` raises ValueError."""
+    if type(base) is not Prefix:  # from scratch: resume the empty prefix
+        base, start = Prefix(base, (), [((0,) * base.n_machines, 0)]), 0
+    instance = base.instance
     check_permutation(perm, instance.n_jobs)
-    if not resume:
-        start, state = 0, ((0,) * instance.n_machines, 0)
-    elif 0 <= start <= len(perm) and base.perm[:start] == tuple(perm[:start]):
-        state = base.states[start]
-    else:
+    if not (0 <= start <= len(perm) and base.perm[:start] == tuple(perm[:start])):
         raise ValueError(f"start {start!r} is outside 0..{len(perm)}"
                          " or the prefix differs from perm before it")
-    if states is not None:
-        states.append(state)
-    return _kernel(instance.n_machines)(instance.proc_time, perm, start, state,
-                                        instance.fixed_power, instance.machine_load, states)
+    states = base.states[:start + 1]
+    _kernel(instance.n_machines)(instance.proc_time, perm, start, states[-1],
+                                 instance.fixed_power, instance.machine_load, states)
+    return Prefix(instance, tuple(perm), states)
 
 
-def schedule_prefix(base: Instance | Prefix, perm, start: int = 0) -> Prefix:
-    """The per-position recurrence state of `perm`, a base for `evaluate`;
-    from a `Prefix` whose permutation agrees with `perm` before position
-    `start`, its states up to there are reused, on its instance."""
-    resume = type(base) is Prefix
-    states = base.states[:start] if resume else []
-    _advance(base, perm, start, states)
-    return Prefix(base.instance if resume else base, tuple(perm), states)
-
-
-def evaluate(base: Instance | Prefix, perm, kappa: float = DEFAULT_KAPPA,
-             start: int = 0) -> Objectives:
-    """Total flowtime and standby energy of `perm`, in one recurrence.
+def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectives:
+    """Total flowtime and standby energy of `perm`, checked, in one recurrence.
 
     Standby on machine j is its last completion minus its processing
     minutes; machine 1 never waits, so its power is never charged.  The
     power-minutes are summed over machines 2..m from 0.0 and scaled by
-    `kappa` once.  A `Prefix` base whose permutation agrees with `perm`
-    before position `start` (the descent passes the first changed one)
-    resumes the recurrence from its state there, on the prefix's instance;
-    the result is the same as from an `Instance` base, where `start` is
-    unused, and a prefix that disagrees there raises ValueError.
+    `kappa` once.  A `Prefix` raises TypeError: only the descent resumes
+    from one, in `localsearch.evaluate`, unchecked and safe by construction.
     """
-    flowtime, power_minutes = _advance(base, perm, start)
+    if type(instance) is not Instance:
+        raise TypeError(f"evaluate prices on an Instance, got {type(instance).__name__}")
+    check_permutation(perm, instance.n_jobs)
+    flowtime, power_minutes = _kernel(instance.n_machines)(
+        instance.proc_time, perm, 0, ((0,) * instance.n_machines, 0),
+        instance.fixed_power, instance.machine_load)
     return Objectives(flowtime, power_minutes * kappa)
 
 

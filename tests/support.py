@@ -134,15 +134,19 @@ def random_instance(rng: random.Random, n_jobs: int, n_machines: int) -> Instanc
 
 
 def enumerate_front(instance: Instance, kappa: float = 1.0 / 60.0):
-    """Exact Pareto front of a small instance by full enumeration."""
-    objs = {}
-    for perm in itertools.permutations(range(instance.n_jobs)):
-        objs[perm] = evaluate(instance, perm, kappa)
-    front = {}
-    for perm, obj in objs.items():
-        if not any(naive_dominates(other, obj) for other in objs.values()):
-            front[perm] = obj
-    return objs, front
+    """Exact Pareto front of a small instance by full enumeration: every
+    permutation's objectives, and those of the permutations that nothing
+    dominates, in permutation order.  One sort filters the distinct points:
+    in (flowtime, energy) order each earlier one is no later in flowtime,
+    so a point is dominated exactly when an earlier one has no more energy."""
+    objs = {perm: evaluate(instance, perm, kappa)
+            for perm in itertools.permutations(range(instance.n_jobs))}
+    kept, least = set(), math.inf
+    for obj in sorted(set(objs.values())):
+        if obj.energy < least:
+            kept.add(obj)
+            least = obj.energy
+    return objs, {perm: obj for perm, obj in objs.items() if obj in kept}
 
 
 def _numpy_pair(rng, n):

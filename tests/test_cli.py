@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import greenflowshop
 from greenflowshop import cli as cli_module
 from greenflowshop import harness as harness_module
 from greenflowshop import instance as instance_module
@@ -169,6 +173,27 @@ class TestSolve:
              "--gen", "3", "--out", str(out), "--json", str(mirror)])
         payload = json.loads(mirror.read_text())
         assert len(payload) == len(out.read_text().strip().splitlines()) - 1
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # string hashing is salted per process unless PYTHONHASHSEED fixes it,
+        # so a set or dict order that leaked into a draw or an output row
+        # would show here; the child imports this same package
+        package_root = str(Path(greenflowshop.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            work = tmp_path / hash_seed
+            work.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
+            done = subprocess.run(
+                [sys.executable, "-m", "greenflowshop.cli", "solve", "--instance", "table3",
+                 "--pop", "20", "--gen", "10", "--seed", "3", "--json", "front.json"],
+                cwd=work, env=env, capture_output=True, check=True)
+            outputs.append((done.stdout, (work / "front.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        stdout, mirror = outputs[0]
+        rows = stdout.decode().splitlines()
+        assert rows[0] == "sequence,flowtime,energy_whr"
+        assert len(rows) - 1 == len(json.loads(mirror)) > 1
 
     def test_native_instance_file(self, tmp_path):
         inst_path = tmp_path / "toy.txt"

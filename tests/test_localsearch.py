@@ -291,9 +291,9 @@ class TestAgainstReference:
     def test_store_prices_each_neighbour_once(self, monkeypatch):
         # at three jobs a descent proposes the same neighbour many times;
         # with a store, only a permutation's first proposal is evaluated
-        calls = []
+        calls, price = [], localsearch.evaluate
         monkeypatch.setattr(localsearch, "evaluate",
-                            lambda inst, p, *a: calls.append(p) or evaluate(inst, p, *a))
+                            lambda prefix, p, *a: calls.append(p) or price(prefix, p, *a))
         inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
         start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
         for seed in range(3):

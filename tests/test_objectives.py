@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from greenflowshop import localsearch
 from greenflowshop.instance import Instance
 from greenflowshop.localsearch import (
     NEIGHBORHOOD_OPS,
@@ -183,11 +184,15 @@ def neighbour_moves(draw):
 
 
 class TestPrefix:
+    """A `Prefix` is built and resumed, checked, only by `schedule_prefix`;
+    the descent prices a neighbour from one through `localsearch.evaluate`,
+    which checks nothing, and the public `evaluate` refuses one."""
+
     @given(neighbour_moves(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
     def test_prefix_path_agrees_exactly(self, move, kappa):
         inst, incumbent, neighbour, start = move
         prefix = schedule_prefix(inst, incumbent)
-        got = evaluate(prefix, neighbour, kappa, start)
+        got = localsearch.evaluate(prefix, neighbour, kappa, start)
         for expected in (evaluate(inst, neighbour, kappa),
                          simulate_oracle(inst, neighbour, kappa)):
             assert got.flowtime == expected.flowtime
@@ -201,8 +206,11 @@ class TestPrefix:
         assert prefix.states == [((0, 0), 0), ((3, 7), 7), ((5, 12), 19)]
 
     def test_prefix_does_not_skip_the_permutation_check(self):
+        # (0, 0) agrees with the prefix before 1, and is still refused
         prefix = schedule_prefix(TOY, (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bijection"):
+            schedule_prefix(prefix, (0, 0), 1)
+        with pytest.raises(TypeError, match="Instance"):
             evaluate(prefix, (0, 0))
 
     def test_prefix_of_a_non_permutation_is_refused(self):
@@ -218,8 +226,8 @@ class TestPrefix:
     def test_start_outside_the_permutation_is_refused(self, start):
         # a negative start would index the states from the end and misprice
         prefix = schedule_prefix(TOY, (0, 1))
-        with pytest.raises(ValueError, match="start"):
-            evaluate(prefix, (1, 0), start=start)
+        with pytest.raises(TypeError):  # evaluate has no start
+            evaluate(TOY, (1, 0), start=start)
         with pytest.raises(ValueError, match="start"):
             schedule_prefix(prefix, (1, 0), start)
 
@@ -228,11 +236,12 @@ class TestPrefix:
         # resuming (1, 0) from (0, 1)'s states would price it as (19, 60.0)
         # at start 2 instead of (18, 40.0), and build wrong states
         prefix = schedule_prefix(TOY, (0, 1))
-        with pytest.raises(ValueError, match="differs"):
-            evaluate(prefix, (1, 0), start=start)
+        with pytest.raises(TypeError):  # the old resume form
+            evaluate(prefix, (1, 0), DEFAULT_KAPPA, start)
         with pytest.raises(ValueError, match="differs"):
             schedule_prefix(prefix, (1, 0), start)
-        assert evaluate(prefix, (1, 0), start=0) == (18, 40.0)
+        assert localsearch.evaluate(prefix, (1, 0), DEFAULT_KAPPA, 0) == (18, 40.0)
+        assert evaluate(TOY, (1, 0)) == (18, 40.0)
         assert schedule_prefix(prefix, (1, 0), 0) == schedule_prefix(TOY, (1, 0))
 
     def test_prefix_prices_on_its_own_instance(self):
@@ -241,8 +250,13 @@ class TestPrefix:
         other = Instance.from_matrix([[9, 1], [1, 9]], [600, 1200])
         prefix = schedule_prefix(TOY, (0, 1))
         assert prefix.instance is TOY
-        assert evaluate(prefix, (0, 1), start=1) == evaluate(TOY, (0, 1)) == (19, 60.0)
+        assert localsearch.evaluate(prefix, (0, 1), DEFAULT_KAPPA, 1) == (19, 60.0)
+        assert evaluate(TOY, (0, 1)) == (19, 60.0)
         assert evaluate(other, (0, 1)) == (29, 180.0)
+        with pytest.raises(TypeError, match="Instance"):
+            evaluate(prefix, (0, 1))
+        with pytest.raises(TypeError):
+            evaluate(TOY, (0, 1), DEFAULT_KAPPA, 1)
         assert schedule_prefix(prefix, (1, 0), 0).instance is TOY
         assert schedule_prefix(prefix, (0, 1), 1) == prefix
         with pytest.raises(TypeError):
@@ -276,7 +290,7 @@ class TestEveryMachineCount:
             draws = Draws(m)
             for op in NEIGHBORHOOD_OPS:  # resumed at each move's first changed position
                 for start, other in op(perm, draws):
-                    got = evaluate(prefix, other, start=start)
+                    got = localsearch.evaluate(prefix, other, DEFAULT_KAPPA, start)
                     for expected in (evaluate(inst, other), simulate_oracle(inst, other)):
                         assert got.flowtime == expected.flowtime
                         assert repr(got.energy) == repr(expected.energy)
