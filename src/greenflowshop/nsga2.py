@@ -10,6 +10,10 @@ never perturbs the selection stream.  The initial population and each
 generation's variation and descent draw through one `seeding.Draws` per
 stream, which replays numpy's `Generator` draws from its raw words.
 
+`generations` runs the loop as a stream of one record per generation,
+which a caller reads before asking for the next (see its docstring), and
+`evolve` reads the stream to its end.
+
 The merged pool is ranked once per generation (twice with the descent),
 and the survivors are not ranked again.  They are the best whole fronts
 plus part of the next one, so dropping the worse fronts moves no
@@ -33,8 +37,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 from .instance import Instance
 from .localsearch import _distinct_pair, swap_positions, vnd_explore
@@ -51,6 +55,7 @@ from .seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
 __all__ = [
     "RunConfig",
     "evolve",
+    "generations",
     "init_population",
     "order_crossover",
     "swap_mutation",
@@ -74,6 +79,11 @@ class RunConfig:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
+        for name in ("pop_size", "generations", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int")
+        if type(self.ls_enabled) is not bool:
+            raise ValueError("ls_enabled must be a bool")
         if self.pop_size < 2:
             raise ValueError("pop_size must be at least 2")
         if self.generations < 0:
@@ -248,19 +258,21 @@ def _apply_local_search(
     return kept
 
 
-def evolve(
-    instance: Instance,
-    config: RunConfig,
-    on_generation: Callable[[int, list[Individual], list[Individual]], None] | None = None,
-) -> list[Individual]:
-    """Run the full generational loop and return the final best front,
-    deduplicated by objective pair and sorted by (flowtime, energy).
+def generations(
+    instance: Instance, config: RunConfig
+) -> Iterator[tuple[int, list[Individual], list[Individual]]]:
+    """Run the generational loop, yielding `(gen, pool, population)` once
+    per generation: generation 0 is the ranked initial population, which
+    is also its own pool, and each later one yields the merged pool after
+    the descent and the survivors selected from it.
 
-    `on_generation(gen, merged_pool, population)` is invoked after each
-    generation's survivor selection, for tracing and tests.
+    The records are the run's own lists and members, not copies: the next
+    generation merges the survivors and rewrites their rank and crowding.
+    Read a record before asking for the next one, and change none.
     """
     pop = init_population(instance, config)
     rank_population(pop)
+    yield 0, pop, pop
     stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
         var_draws = Draws(config.seed, STREAM_VARIATION, gen)
@@ -272,6 +284,12 @@ def evolve(
             stores = _apply_local_search(merged, fronts, instance, ls_draws, config.kappa, stores)
             fronts = rank_population(merged)
         pop = _select_next(fronts, config.pop_size)
-        if on_generation is not None:
-            on_generation(gen, merged, pop)
+        yield gen, merged, pop
+
+
+def evolve(instance: Instance, config: RunConfig) -> list[Individual]:
+    """Run `generations` to its end and return the last population's best
+    front, deduplicated by objective pair and sorted by (flowtime, energy)."""
+    for _, _, pop in generations(instance, config):
+        pass
     return unique_sorted(ind for ind in pop if ind.rank == 1)

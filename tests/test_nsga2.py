@@ -4,8 +4,10 @@ import itertools
 import math
 import random
 from collections import Counter, defaultdict
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from greenflowshop import localsearch, nsga2, seeding
@@ -21,6 +23,7 @@ from greenflowshop.nsga2 import (
     _ox_child,
     _select_next,
     evolve,
+    generations,
     init_population,
     order_crossover,
     swap_mutation,
@@ -32,6 +35,7 @@ from greenflowshop.pareto import (
     dominates,
     fast_nondominated_sort,
     rank_population,
+    unique_sorted,
 )
 from greenflowshop.seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
 from support import enumerate_front, naive_dominates, reference_ox_child
@@ -72,6 +76,14 @@ class TestRunConfig:
             {"kappa": math.nan},
             {"kappa": math.inf},
             {"kappa": -math.inf},
+            {"pop_size": 4.0},
+            {"generations": 1.5},
+            {"generations": True},
+            {"seed": 1.5},
+            {"seed": np.int64(3)},
+            {"seed": False},
+            {"ls_enabled": "off"},
+            {"ls_enabled": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -272,17 +284,15 @@ class TestSurvivorsKeepTheirRanks:
     @pytest.mark.parametrize("ls_enabled", [True, False], ids=["descent", "ga-only"])
     def test_population_reads_a_fresh_ranking(self, table3, seed, ls_enabled):
         truncated = []
-
-        def check(gen, merged, pop):
+        config = RunConfig(pop_size=15, generations=6, seed=seed, ls_enabled=ls_enabled)
+        for _, merged, pop in generations(table3, config):
             assert [(i.rank, i.crowding) for i in pop] == _fresh_ranking(pop)
             worst = max(i.rank for i in pop)
             truncated.append(
                 sum(i.rank == worst for i in merged) > sum(i.rank == worst for i in pop)
             )
-
-        config = RunConfig(pop_size=15, generations=6, seed=seed, ls_enabled=ls_enabled)
-        evolve(table3, config, on_generation=check)
-        assert len(truncated) == 6 and any(truncated)
+        # generation 0 is its own pool, so it truncates nothing
+        assert len(truncated) == 7 and not truncated[0] and any(truncated)
 
 
 class TestEvolve:
@@ -300,6 +310,19 @@ class TestEvolve:
         }
         assert {i.obj for i in front} == expected
 
+        # the stream yields generations 0..G, and `evolve` returns the last
+        # population's rank-1 members
+        for config in (cfg, replace(cfg, generations=3)):
+            seen = []
+            for gen, pool, pop in generations(table3, config):
+                if gen == 0:
+                    assert pool is pop
+                assert len(pop) == config.pop_size
+                seen.append(gen)
+            assert seen == list(range(config.generations + 1))
+            last = unique_sorted(i for i in pop if i.rank == 1)
+            assert _front_fingerprint(evolve(table3, config)) == _front_fingerprint(last)
+
     def test_bit_level_determinism(self, table3):
         cfg = RunConfig(pop_size=20, generations=6, seed=9)
         a = evolve(table3, cfg)
@@ -314,25 +337,18 @@ class TestEvolve:
 
     def test_permutations_valid_throughout(self, table3):
         seen = []
-
-        def check(gen, merged, pop):
+        for gen, merged, pop in generations(table3, RunConfig(pop_size=10, generations=4, seed=6)):
             for member in merged + pop:
                 check_permutation(member.perm, table3.n_jobs)
             seen.append(gen)
-
-        evolve(table3, RunConfig(pop_size=10, generations=4, seed=6),
-               on_generation=check)
-        assert seen == [1, 2, 3, 4]
+        assert seen == [0, 1, 2, 3, 4]
 
     def test_retained_rank1_nondominated_in_merged_pool(self, table3):
-        def check(gen, merged, pop):
+        for _, merged, pop in generations(table3, RunConfig(pop_size=10, generations=4, seed=7)):
             pool_objs = [m.obj for m in merged]
             for member in pop:
                 if member.rank == 1:
                     assert not any(dominates(o, member.obj) for o in pool_objs)
-
-        evolve(table3, RunConfig(pop_size=10, generations=4, seed=7),
-               on_generation=check)
 
     def test_matches_exhaustive_front_on_three_jobs(self):
         rng = random.Random(12)
@@ -469,15 +485,8 @@ class TestPricedOnce:
     def test_no_repeat_reaches_evaluate(self, table3, monkeypatch):
         gens = []  # one record per generation
         starts = []  # the start of the descent under way
-        make_offspring, explore = nsga2._make_offspring, nsga2.vnd_explore
+        explore = nsga2.vnd_explore
         offspring_eval, descent_eval = nsga2.evaluate, localsearch.evaluate
-
-        def counted_offspring(instance, pop, *args):
-            gens.append(SimpleNamespace(
-                pop={m.perm for m in pop}, offspring=[], descents=Counter(),
-                stored=defaultdict(set), priced=defaultdict(list),
-            ))
-            return make_offspring(instance, pop, *args)
 
         def counted_offspring_eval(instance, perm, *args):
             if gens:  # init_population evaluates before the first generation
@@ -497,11 +506,16 @@ class TestPricedOnce:
             gens[-1].priced[starts[-1]].append(perm)
             return descent_eval(instance, perm, *args)
 
-        monkeypatch.setattr(nsga2, "_make_offspring", counted_offspring)
         monkeypatch.setattr(nsga2, "evaluate", counted_offspring_eval)
         monkeypatch.setattr(nsga2, "vnd_explore", counted_explore)
         monkeypatch.setattr(localsearch, "evaluate", counted_descent_eval)
-        evolve(table3, RunConfig(pop_size=20, generations=10, seed=7))
+        config = RunConfig(pop_size=20, generations=10, seed=7)
+        for gen, _, pop in generations(table3, config):
+            if gen < config.generations:  # the next generation breeds from `pop`
+                gens.append(SimpleNamespace(
+                    pop={m.perm for m in pop}, offspring=[], descents=Counter(),
+                    stored=defaultdict(set), priced=defaultdict(list),
+                ))
 
         assert len(gens) == 10
         stored_starts = carried = 0

@@ -25,6 +25,8 @@ def test_traced_bindings_count_and_keep_the_front(monkeypatch):
         worker.CampaignWorkload.instrument(None, tracer)
         traced = [(ind.perm, ind.obj) for ind in evolve(load_table3(), config)]
     assert traced == plain
+    # perfbench reports `nsga2.generations` as the calls through `_make_offspring`
+    assert tracer.stat("nsga2.variation").calls == config.generations
     assert tracer.stat("localsearch.vnd").calls > 0
     assert tracer.stat("objectives.evaluate.descent").calls > 0
 
