@@ -82,8 +82,11 @@ class InstanceFormatError(ValueError):
 class Instance:
     """Immutable flowshop instance; safe to share across solver runs.
 
-    `machine_load` (total processing minutes per machine) is derived from
-    `proc_time` and takes no part in equality, hashing or repr.
+    `machine_load` (total processing minutes per machine) and
+    `kernel_times` (the rows the pricing kernel adds: `proc_time` as floats
+    when `n_jobs * sum(machine_load)` and every `int` power are below 2^53,
+    where doubles price exactly, else `proc_time`) are derived from
+    `proc_time` and take no part in equality, hashing or repr.
     """
 
     n_jobs: int
@@ -91,6 +94,8 @@ class Instance:
     proc_time: tuple[tuple[int, ...], ...]  # job-major, minutes
     fixed_power: tuple[float, ...]  # one rating per machine
     machine_load: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    kernel_times: tuple[tuple[int | float, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(type(n) is int and n >= 1 for n in (self.n_jobs, self.n_machines)):
@@ -109,7 +114,12 @@ class Instance:
             raise ValueError("fixed_power must be a tuple of n_machines powers")
         if not all(type(p) in (int, float) and 0 < p < math.inf for p in self.fixed_power):
             raise ValueError("fixed powers must be positive and finite ints or floats")
-        object.__setattr__(self, "machine_load", tuple(map(sum, zip(*self.proc_time))))
+        load = tuple(map(sum, zip(*self.proc_time)))
+        exact = self.n_jobs * sum(load) < 2**53 and all(
+            type(p) is float or p < 2**53 for p in self.fixed_power)
+        object.__setattr__(self, "machine_load", load)
+        object.__setattr__(self, "kernel_times", tuple(
+            tuple(map(float, row)) for row in self.proc_time) if exact else self.proc_time)
 
     @classmethod
     def from_matrix(cls, proc_time, fixed_power) -> "Instance":

@@ -112,7 +112,7 @@ def evaluate(prefix: Prefix, perm, kappa: float, k: int) -> Objectives:
     `(k, perm)` is a permutation agreeing with `prefix.perm` before `k`."""
     inst = prefix.instance
     flowtime, power_minutes = _kernel(inst.n_machines)(
-        inst.proc_time, perm, k, prefix.states[k], inst.fixed_power, inst.machine_load)
+        inst.kernel_times, perm, k, prefix.states[k], inst.fixed_power, inst.machine_load)
     return Objectives(flowtime, power_minutes * kappa)
 
 

@@ -84,6 +84,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an int")
         if type(self.ls_enabled) is not bool:
             raise ValueError("ls_enabled must be a bool")
+        for name in ("p_crossover", "p_mutation", "kappa"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be an int or a float")
         if self.pop_size < 2:
             raise ValueError("pop_size must be at least 2")
         if self.generations < 0:

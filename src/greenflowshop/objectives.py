@@ -3,9 +3,12 @@ in one pass of a recurrence compiled once per machine count, with each
 machine's free time in a local variable, plus an independent discrete-event
 simulation, sharing no code with it, used to cross-check it.
 
-All durations are integer minutes and summed exactly; energy converts the
-accumulated power-minutes to Whr once, via a single multiplicative constant
-(default 1/60, minutes to hours against the Whr-rated machine powers).
+All durations are integer minutes and summed exactly, as doubles where
+`Instance.kernel_times` holds float rows: then every completion time and
+flowtime partial sum is an integer below 2^53, and each energy term is
+rounded once, as with integers.  Energy converts the accumulated
+power-minutes to Whr once, via a single multiplicative constant (default
+1/60, minutes to hours against the Whr-rated machine powers).
 
 The recurrence keeps only the time each machine comes free.  From 0 to its
 last completion a machine is either processing or on standby, so its
@@ -46,38 +49,40 @@ class Objectives(NamedTuple):
 class Prefix(NamedTuple):
     """The recurrence state of `perm` on `instance` after each of its
     positions: `states[i]` is (each machine's free time, flowtime) once the
-    first `i` jobs are scheduled, so `states[0]` is all zeros."""
+    first `i` jobs are scheduled, so `states[0]` is all zeros (whole-number
+    floats after it when `instance.kernel_times` holds floats)."""
 
     instance: Instance
     perm: tuple[int, ...]
-    states: list[tuple[tuple[int, ...], int]]
+    states: list[tuple[tuple[int | float, ...], int | float]]
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _kernel(m: int):
     """`advance(pt, perm, start, state, power, load, states=None)` for `m`
     machines: schedule `perm[start:]` after a `Prefix` state and return the
-    flowtime and the power-minutes, `power[j] * (free time - load[j])`
-    added to 0.0 for j = 1..m-1 in order.  A job starts on machine 1 as
-    soon as it is free and reaches each later machine when it leaves the
-    one before, starting once both it and the machine are there; with
-    `states`, the state after each job is appended to it.  Source made
-    from `m` alone: free times in `f{j}`, job times in `p{j}`."""
+    flowtime, as an `int`, and the power-minutes, `power[j] * (free time -
+    load[j])` added to 0.0 for j = 1..m-1 in order.  A job starts on
+    machine 1 as soon as it is free and reaches each later machine when it
+    leaves the one before, starting once both it and the machine are there;
+    with `states`, the state after each job is appended to it.  `pt` is an
+    `Instance.kernel_times`, whose float rows are exact.  Source made from
+    `m` alone: free times in `f{j}`, job times in `p{j}`."""
     if type(m) is not int or m < 1:
         raise ValueError(f"kernel machine count must be a positive int, got {m!r}")
     free, row = (", ".join(f"{v}{j}" for j in range(m)) + "," for v in "fp")
-    step = "\n        if c < f{0}: c = f{0}\n        c = f{0} = c + p{0}"
+    step = "\n        f{1} = (f{0} if f{1} < f{0} else f{1}) + p{1}"
     energy = "".join(f" + power[{j}] * (f{j} - load[{j}])" for j in range(1, m))
     namespace = {}
     exec(f"""def advance(pt, perm, start, state, power, load, states=None):
     ({free}), flowtime = state
     for job in perm[start:]:
         {row} = pt[job]
-        c = f0 = f0 + p0{"".join(step.format(j) for j in range(1, m))}
-        flowtime += c
+        f0 = f0 + p0{"".join(step.format(j - 1, j) for j in range(1, m))}
+        flowtime += f{m - 1}
         if states is not None:
             states.append((({free}), flowtime))
-    return flowtime, 0.0{energy}""", namespace)
+    return int(flowtime), 0.0{energy}""", namespace)
     return namespace["advance"]
 
 
@@ -94,7 +99,7 @@ def schedule_prefix(base: Instance | Prefix, perm, start: int = 0) -> Prefix:
         raise ValueError(f"start {start!r} is outside 0..{len(perm)}"
                          " or the prefix differs from perm before it")
     states = base.states[:start + 1]
-    _kernel(instance.n_machines)(instance.proc_time, perm, start, states[-1],
+    _kernel(instance.n_machines)(instance.kernel_times, perm, start, states[-1],
                                  instance.fixed_power, instance.machine_load, states)
     return Prefix(instance, tuple(perm), states)
 
@@ -112,7 +117,7 @@ def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectiv
         raise TypeError(f"evaluate prices on an Instance, got {type(instance).__name__}")
     check_permutation(perm, instance.n_jobs)
     flowtime, power_minutes = _kernel(instance.n_machines)(
-        instance.proc_time, perm, 0, ((0,) * instance.n_machines, 0),
+        instance.kernel_times, perm, 0, ((0,) * instance.n_machines, 0),
         instance.fixed_power, instance.machine_load)
     return Objectives(flowtime, power_minutes * kappa)
 

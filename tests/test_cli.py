@@ -155,7 +155,37 @@ class TestGenerate:
         assert text == format_instance(generate_instance(2, 2, 1))
 
 
+# sha256 of `solve`'s stdout (the output directory written as `{tmp}`) and
+# of each file it writes: `table3` as in the hash-seed case below, and a
+# generated 50x10 native shop with the descent on.  A flowtime printed as
+# `123.0` in the CSV or the JSON changes them.
+_SOLVE_OUTPUTS = {
+    "table3": (
+        ["--instance", "table3", "--pop", "20", "--gen", "10", "--seed", "3",
+         "--json", "{tmp}/front.json"],
+        {"stdout": "bc7085c09ddc49537ff805b07b1c681efb921387263ede9c496694539fe2fd5f",
+         "front.json": "938e92ce288909d4257dda1ffffbbb5a46a3bbff24250b417b30588bae74384b"},
+    ),
+    "native-50x10": (
+        ["--instance", "{tmp}/shop.txt", "--pop", "10", "--gen", "3", "--seed", "4",
+         "--out", "{tmp}/front.csv", "--json", "{tmp}/front.json"],
+        {"stdout": "8a33a6a3990941d5382c3da647c42265b0d1334917306e1ae712c43787629731",
+         "front.csv": "f6ed3b962b37be0419319af4c5616c1afef5227ba0f79b56c41ab8a68f063369",
+         "front.json": "3d24b4138b465a4b2c543a7a94caa573641178eb25fe05925caeded43773e9b1"},
+    ),
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("case", _SOLVE_OUTPUTS)
+    def test_output_bytes_pinned(self, tmp_path, capsys, case):
+        argv, expected = _SOLVE_OUTPUTS[case]
+        (tmp_path / "shop.txt").write_text(format_instance(generate_instance(50, 10, 11)))
+        assert run(["solve", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv)]) == 0
+        got = {"stdout": capsys.readouterr().out.replace(str(tmp_path), "{tmp}").encode()}
+        got.update((name, (tmp_path / name).read_bytes()) for name in expected if name != "stdout")
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == expected
+
     def test_table3_front_csv(self, tmp_path):
         out = tmp_path / "front.csv"
         code = run(["solve", "--instance", "table3", "--seed", "7",

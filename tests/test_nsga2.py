@@ -84,6 +84,9 @@ class TestRunConfig:
             {"seed": False},
             {"ls_enabled": "off"},
             {"ls_enabled": 1},
+            {"p_crossover": True},
+            {"kappa": True},
+            {"p_mutation": "0.1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -95,14 +95,19 @@ def _random_cases():
 @st.composite
 def shops(draw):
     """A shop of up to 6 jobs and 5 machines (zero times allowed) and one
-    of its permutations."""
+    of its permutations.  Some shops also draw times near 2^44 to 2^58 and
+    `int` powers of 2^53 or more, where doubles stop being exact; powers
+    stay as drawn, so `int` ones reach the kernel as `int`s."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    row = st.lists(st.integers(0, 99), min_size=m, max_size=m)
-    times = draw(st.lists(row, min_size=n, max_size=n))
+    time = st.integers(0, 99)
     power = st.integers(1, 1500) | st.floats(0.5, 5000.0)
-    powers = draw(st.lists(power, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        time |= st.integers(2**44, 2**58)
+        power |= st.integers(2**53, 2**62)
+    times = draw(st.lists(st.tuples(*[time] * m), min_size=n, max_size=n))
+    powers = draw(st.tuples(*[power] * m))
     perm = draw(st.permutations(range(n)))
-    return Instance.from_matrix(times, powers), tuple(perm)
+    return Instance(n, m, tuple(times), powers), tuple(perm)
 
 
 class TestInvariants:
@@ -281,19 +286,85 @@ class TestEveryMachineCount:
                       for _ in range(m)] for _ in range(n)]
             powers = [rng.uniform(0.5, 5000.0) for _ in range(m)]
             inst = Instance.from_matrix(times, powers)
-            perm = tuple(rng.sample(range(n), n))
-            got, expected = evaluate(inst, perm), simulate_oracle(inst, perm)
-            assert got.flowtime == expected.flowtime
-            assert repr(got.energy) == repr(expected.energy)
-            prefix = schedule_prefix(inst, perm)
-            assert prefix.states == reference_states(inst, perm)
-            draws = Draws(m)
-            for op in NEIGHBORHOOD_OPS:  # resumed at each move's first changed position
-                for start, other in op(perm, draws):
-                    got = localsearch.evaluate(prefix, other, DEFAULT_KAPPA, start)
-                    for expected in (evaluate(inst, other), simulate_oracle(inst, other)):
-                        assert got.flowtime == expected.flowtime
-                        assert repr(got.energy) == repr(expected.energy)
-                    assert m > 1 or repr(got.energy) == "0.0"  # nothing is charged
-                    resumed = schedule_prefix(prefix, other, start)
-                    assert resumed == schedule_prefix(inst, other)
+            _assert_every_path_exact(inst, tuple(rng.sample(range(n), n)), Draws(m))
+
+
+def _assert_bit_equal(got, expected):
+    assert type(got.flowtime) is int
+    assert got.flowtime == expected.flowtime
+    assert repr(got.energy) == repr(expected.energy)
+
+
+def _assert_every_path_exact(inst, perm, draws):
+    """`evaluate`, `schedule_prefix` and `localsearch.evaluate` resumed at
+    each move's first changed position price `perm` and its neighbours
+    exactly as the oracle does, and build the reference states."""
+    _assert_bit_equal(evaluate(inst, perm), simulate_oracle(inst, perm))
+    prefix = schedule_prefix(inst, perm)
+    assert prefix.states == reference_states(inst, perm)
+    for op in NEIGHBORHOOD_OPS:
+        for k, other in op(perm, draws):
+            expected = simulate_oracle(inst, other)
+            got = localsearch.evaluate(prefix, other, DEFAULT_KAPPA, k)
+            _assert_bit_equal(got, expected)
+            _assert_bit_equal(evaluate(inst, other), expected)
+            assert inst.n_machines > 1 or repr(got.energy) == "0.0"  # nothing is charged
+            resumed = schedule_prefix(prefix, other, k)
+            assert resumed == schedule_prefix(inst, other)
+            assert resumed.states == reference_states(inst, other)
+
+
+def _wide_shops(kind: str, count: int = 12):
+    """Shops where double arithmetic can lose the last bits: times near
+    2^44 to 2^58 (kind "2^s"), so that `n_jobs * sum(machine_load)` falls
+    below 2^53 at the low scales, around it in the middle and above it at
+    the high ones, or 0-99 minute times with `int` powers of 2^53 or more
+    (kind "int-powers").  Each comes with one permutation."""
+    rng = random.Random(kind)
+    for _ in range(count):
+        n, m = rng.randint(1, 6), rng.randint(1, 5)
+        if kind == "int-powers":
+            times = [[rng.randint(0, 99) for _ in range(m)] for _ in range(n)]
+            top = 2**rng.randint(53, 62)
+            powers = [rng.choice((rng.randint(2**53, top), rng.randint(1, 1500)))
+                      for _ in range(m)]
+        else:
+            scale = int(kind[2:])
+            times = [[rng.choice((0, rng.randint(2**(scale - 1), 2**scale)))
+                      for _ in range(m)] for _ in range(n)]
+            powers = [rng.choice((rng.randint(1, 1500), rng.uniform(0.5, 5000.0)))
+                      for _ in range(m)]
+        inst = Instance(n, m, tuple(map(tuple, times)), tuple(powers))
+        yield inst, tuple(rng.sample(range(n), n))
+
+
+class TestExactDoubles:
+    """The kernel adds float rows only while every completion time and
+    flowtime partial sum is an integer below 2^53 and every `int` power is
+    below 2^53; then its prices are the integer recurrence's to the bit.
+    These shops sit on both sides of that condition."""
+
+    @pytest.mark.parametrize("kind", [f"2^{s}" for s in range(44, 59, 2)] + ["int-powers"])
+    def test_every_path_matches_the_oracle(self, kind):
+        for inst, perm in _wide_shops(kind):
+            _assert_every_path_exact(inst, perm, Draws(inst.n_jobs, inst.n_machines))
+
+    def test_scales_straddle_the_condition(self):
+        # the shops above include float rows and int rows
+        kinds = {type(inst.kernel_times[0][0])
+                 for s in range(44, 59, 2) for inst, _ in _wide_shops(f"2^{s}")}
+        assert kinds == {float, int}
+
+    @pytest.mark.parametrize("total, power, rows", [
+        (2**53 - 1, 1500, float),
+        (2**53, 1500, int),
+        (99, 2**53 - 1, float),
+        (99, 2**53, int),
+        (99, 2.0**60, float),
+    ])
+    def test_float_rows_stop_at_2_53(self, total, power, rows):
+        # one job, so n_jobs * sum(machine_load) is the sum of its times
+        inst = Instance(1, 3, ((total - 7, 3, 4),), (power, power, power))
+        assert all(type(t) is rows for t in inst.kernel_times[0])
+        assert inst.kernel_times == inst.proc_time
+        _assert_bit_equal(evaluate(inst, (0,)), simulate_oracle(inst, (0,)))
