@@ -190,6 +190,7 @@ def _load_instance(args) -> Instance:
 
 
 def _cmd_generate(args) -> int:
+    _check_outputs(args.out)
     instance = generate_instance(args.jobs, args.machines, args.seed)
     if args.out:
         Path(args.out).write_text(format_instance(instance), encoding="utf-8")

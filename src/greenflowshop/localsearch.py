@@ -6,17 +6,18 @@ two neighbours per call, job reinsertion proposes ten, each as `(k, perm)`
 with `k` its first changed position.  The descent keeps a single
 incumbent, recenters on it whenever some neighbour strictly dominates it,
 and stops once all three operators fail in a row or the iteration budget
-runs out.  A neighbour is priced, unchecked, from the incumbent's state at
-`k`, built (checked) at the first neighbour missing from the store.  The
-walk carries its incumbent and its archive as plain (objectives,
-permutation) pairs; `Individual`s are built only for the passes that rank
-their pool and for the result.
+runs out.  A neighbour is priced, unchecked, from the incumbent's
+recurrence state at `k`; the descent keeps those states in a private list,
+built at the first neighbour missing from the store.  The walk carries its
+incumbent and its archive as plain (objectives, permutation) pairs;
+`Individual`s are built only for the passes that rank their pool and for
+the result.
 """
 
 from __future__ import annotations
 
-from .instance import Instance
-from .objectives import DEFAULT_KAPPA, Objectives, Prefix, _kernel, schedule_prefix
+from .instance import Instance, check_permutation
+from .objectives import DEFAULT_KAPPA, Objectives, _kernel
 from .pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 from .seeding import Draws
 
@@ -106,13 +107,22 @@ def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, tuple[int, ...]], ..
 NEIGHBORHOOD_OPS = (op_swap, op_reversion, op_neighborhood)
 
 
-def evaluate(prefix: Prefix, perm, kappa: float, k: int) -> Objectives:
-    """The kernel's price of `perm` from `prefix.states[k]`, unchecked: the
-    prefix comes from a checked `schedule_prefix`, and an operator's
-    `(k, perm)` is a permutation agreeing with `prefix.perm` before `k`."""
-    inst = prefix.instance
-    flowtime, power_minutes = _kernel(inst.n_machines)(
-        inst.kernel_times, perm, k, prefix.states[k], inst.fixed_power, inst.machine_load)
+def _schedule(instance: Instance, perm, start: int, states: list) -> None:
+    """Make `states` the recurrence state of `perm` after each of its
+    positions: `states[i]` is (each machine's free time, flowtime) once the
+    first `i` jobs are scheduled.  `states[:start + 1]` must already hold
+    `perm`'s; the rest is dropped and rebuilt by the kernel."""
+    del states[start + 1:]
+    _kernel(instance.n_machines)(instance.kernel_times, perm, start, states[-1],
+                                 instance.fixed_power, instance.machine_load, states)
+
+
+def evaluate(instance: Instance, perm, kappa: float, k: int, states: list) -> Objectives:
+    """The kernel's price of `perm` from `states[k]`, unchecked: `states`
+    are the incumbent's, whose permutation `vnd_explore` checked, and an
+    operator's `(k, perm)` is a permutation agreeing with it before `k`."""
+    flowtime, power_minutes = _kernel(instance.n_machines)(
+        instance.kernel_times, perm, k, states[k], instance.fixed_power, instance.machine_load)
     return Objectives(flowtime, power_minutes * kappa)
 
 
@@ -138,9 +148,9 @@ def vnd_explore(
     incumbent is rank 1, and no rank-1 pick can dominate it; with one, the
     incumbent is not rank 1 and changes no other member's rank-1 status,
     so it is left out of the pool.  Ranking draws no random numbers.
-    Neighbours are priced by the unchecked `evaluate` above from the
-    incumbent's `Prefix`, built by a checked `schedule_prefix` at the first
-    store miss and at each recentre (from the old one at the pick's `k`).
+    `start.perm` is checked once, before any draw; neighbours are priced by
+    the unchecked `evaluate` above from the incumbent's states, built at
+    the first store miss and rebuilt at each recentre from the pick's `k`.
 
     `priced`, when given, maps permutations to their objectives: a
     neighbour found there is not evaluated, and every other neighbour's
@@ -156,9 +166,10 @@ def vnd_explore(
     the descent cannot accept them.  `start` itself is never returned or
     marked.
     """
+    check_permutation(start.perm, instance.n_jobs)
     best_perm, best_obj = start.perm, start.obj
     archive = [(best_obj, best_perm)]  # (objectives, permutation) pairs
-    prefix = None  # the incumbent's, built at its first store miss
+    states = None  # the incumbent's, built at its first store miss
     a = failures = 0
     for _ in range(max_iters - 1):
         bft, ben = best_obj
@@ -167,9 +178,10 @@ def vnd_explore(
         for k, perm in NEIGHBORHOOD_OPS[a](best_perm, draws):
             obj = None if priced is None else priced.get(perm)
             if obj is None:
-                if prefix is None:
-                    prefix = schedule_prefix(instance, best_perm)
-                obj = evaluate(prefix, perm, kappa, k)
+                if states is None:
+                    states = [((0,) * instance.n_machines, 0)]
+                    _schedule(instance, best_perm, 0, states)
+                obj = evaluate(instance, perm, kappa, k, states)
                 if priced is not None:
                     priced[perm] = obj
             pool.append((obj, perm, k))
@@ -189,9 +201,8 @@ def vnd_explore(
             pick = max(top, key=lambda ind: ind.crowding)
             if dominates(pick.obj, best_obj):
                 best_perm, best_obj = pick.perm, pick.obj
-                if prefix is not None:
-                    k = pool[ranked.index(pick)][2]
-                    prefix = schedule_prefix(prefix, best_perm, k)
+                if states is not None:
+                    _schedule(instance, best_perm, pool[ranked.index(pick)][2], states)
                 failures = 0
                 continue
         a = (a + 1) % 3

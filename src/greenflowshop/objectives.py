@@ -13,11 +13,10 @@ power-minutes to Whr once, via a single multiplicative constant (default
 The recurrence keeps only the time each machine comes free.  From 0 to its
 last completion a machine is either processing or on standby, so its
 standby minutes are its final free time minus its total processing
-minutes (`Instance.machine_load`).  A `Prefix` holds that state after each
-position of one permutation on its instance.  `evaluate` checks and prices
-from scratch.  The descent resumes unchecked, in `localsearch.evaluate`,
-from its incumbent's `Prefix` (built by the checked `schedule_prefix`) at
-a move's first changed position, before which the move agrees with it.
+minutes (`Instance.machine_load`).  `evaluate` checks and prices from
+scratch.  The descent keeps that state after each position of its
+incumbent and prices a neighbour, unchecked, from the state at its first
+changed position (`localsearch.evaluate`).
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from .instance import Instance, check_permutation
 __all__ = [
     "DEFAULT_KAPPA",
     "Objectives",
-    "Prefix",
     "evaluate",
-    "schedule_prefix",
     "simulate_oracle",
 ]
 
@@ -46,21 +43,11 @@ class Objectives(NamedTuple):
     energy: float
 
 
-class Prefix(NamedTuple):
-    """The recurrence state of `perm` on `instance` after each of its
-    positions: `states[i]` is (each machine's free time, flowtime) once the
-    first `i` jobs are scheduled, so `states[0]` is all zeros (whole-number
-    floats after it when `instance.kernel_times` holds floats)."""
-
-    instance: Instance
-    perm: tuple[int, ...]
-    states: list[tuple[tuple[int | float, ...], int | float]]
-
-
 @functools.lru_cache(maxsize=None, typed=True)
 def _kernel(m: int):
     """`advance(pt, perm, start, state, power, load, states=None)` for `m`
-    machines: schedule `perm[start:]` after a `Prefix` state and return the
+    machines: schedule `perm[start:]` from `state`, (each machine's free
+    time, flowtime) once `perm[:start]` is scheduled, and return the
     flowtime, as an `int`, and the power-minutes, `power[j] * (free time -
     load[j])` added to 0.0 for j = 1..m-1 in order.  A job starts on
     machine 1 as soon as it is free and reaches each later machine when it
@@ -86,32 +73,15 @@ def _kernel(m: int):
     return namespace["advance"]
 
 
-def schedule_prefix(base: Instance | Prefix, perm, start: int = 0) -> Prefix:
-    """The checked per-position recurrence state of `perm`, from which the
-    descent prices neighbours.  From a `Prefix` whose permutation agrees
-    with `perm` before position `start`, its states up to there are reused
-    on its instance; any other `start` raises ValueError."""
-    if type(base) is not Prefix:  # from scratch: resume the empty prefix
-        base, start = Prefix(base, (), [((0,) * base.n_machines, 0)]), 0
-    instance = base.instance
-    check_permutation(perm, instance.n_jobs)
-    if not (0 <= start <= len(perm) and base.perm[:start] == tuple(perm[:start])):
-        raise ValueError(f"start {start!r} is outside 0..{len(perm)}"
-                         " or the prefix differs from perm before it")
-    states = base.states[:start + 1]
-    _kernel(instance.n_machines)(instance.kernel_times, perm, start, states[-1],
-                                 instance.fixed_power, instance.machine_load, states)
-    return Prefix(instance, tuple(perm), states)
-
-
 def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectives:
     """Total flowtime and standby energy of `perm`, checked, in one recurrence.
 
     Standby on machine j is its last completion minus its processing
     minutes; machine 1 never waits, so its power is never charged.  The
     power-minutes are summed over machines 2..m from 0.0 and scaled by
-    `kappa` once.  A `Prefix` raises TypeError: only the descent resumes
-    from one, in `localsearch.evaluate`, unchecked and safe by construction.
+    `kappa` once.  Any other base than an `Instance` raises TypeError: only
+    the descent resumes from a state, in `localsearch.evaluate`, unchecked
+    and safe by construction.
     """
     if type(instance) is not Instance:
         raise TypeError(f"evaluate prices on an Instance, got {type(instance).__name__}")

@@ -107,9 +107,10 @@ def reference_ox_child(keeper, donor, lo, hi):
 
 
 def reference_states(instance: Instance, perm) -> list[tuple[tuple[int, ...], int]]:
-    """`schedule_prefix(instance, perm).states` by the plain loop over
-    machines that the compiled kernel replaced: a list of free times read
-    and written once per machine per job."""
+    """The descent's states of `perm` (`localsearch._schedule`'s, from
+    scratch) by the plain loop over machines that the compiled kernel
+    replaced: a list of free times read and written once per machine per
+    job."""
     free, flowtime = [0] * instance.n_machines, 0
     states = [(tuple(free), flowtime)]
     for job in perm:

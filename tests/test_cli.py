@@ -46,12 +46,14 @@ def run(argv):
 
 
 def _no_solver(monkeypatch):
-    """Make every `evolve` binding the CLI reaches fail the test if called."""
+    """Make every `evolve` binding the CLI reaches, and `generate`'s
+    `generate_instance`, fail the test if called."""
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    for module in (cli_module, harness_module):
-        monkeypatch.setattr(module, "evolve", no_solve)
+    for module, name in ((cli_module, "evolve"), (harness_module, "evolve"),
+                         (cli_module, "generate_instance")):
+        monkeypatch.setattr(module, name, no_solve)
 
 
 class TestDefaults:
@@ -156,9 +158,10 @@ class TestGenerate:
 
 
 # sha256 of `solve`'s stdout (the output directory written as `{tmp}`) and
-# of each file it writes: `table3` as in the hash-seed case below, and a
-# generated 50x10 native shop with the descent on.  A flowtime printed as
-# `123.0` in the CSV or the JSON changes them.
+# of each file it writes: `table3`, which the hash-seed case below also
+# runs in two subprocesses, and a generated 50x10 native shop with the
+# descent on.  A flowtime printed as `123.0` in the CSV or the JSON
+# changes them.
 _SOLVE_OUTPUTS = {
     "table3": (
         ["--instance", "table3", "--pop", "20", "--gen", "10", "--seed", "3",
@@ -207,23 +210,22 @@ class TestSolve:
     def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         # string hashing is salted per process unless PYTHONHASHSEED fixes it,
         # so a set or dict order that leaked into a draw or an output row
-        # would show here; the child imports this same package
+        # would show here; the child imports this same package, and each
+        # child's bytes must be the `table3` case's pins
         package_root = str(Path(greenflowshop.__file__).resolve().parent.parent)
-        outputs = []
+        argv, expected = _SOLVE_OUTPUTS["table3"]
         for hash_seed in ("0", "12345"):
             work = tmp_path / hash_seed
             work.mkdir()
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=package_root)
             done = subprocess.run(
-                [sys.executable, "-m", "greenflowshop.cli", "solve", "--instance", "table3",
-                 "--pop", "20", "--gen", "10", "--seed", "3", "--json", "front.json"],
+                [sys.executable, "-m", "greenflowshop.cli", "solve",
+                 *(arg.replace("{tmp}", str(work)) for arg in argv)],
                 cwd=work, env=env, capture_output=True, check=True)
-            outputs.append((done.stdout, (work / "front.json").read_bytes()))
-        assert outputs[0] == outputs[1]
-        stdout, mirror = outputs[0]
-        rows = stdout.decode().splitlines()
-        assert rows[0] == "sequence,flowtime,energy_whr"
-        assert len(rows) - 1 == len(json.loads(mirror)) > 1
+            got = {"stdout": done.stdout.replace(str(work).encode(), b"{tmp}"),
+                   "front.json": (work / "front.json").read_bytes()}
+            assert {name: hashlib.sha256(data).hexdigest()
+                    for name, data in got.items()} == expected, hash_seed
 
     def test_native_instance_file(self, tmp_path):
         inst_path = tmp_path / "toy.txt"
@@ -527,15 +529,26 @@ class TestUnwritableOutput:
     """Every output path is checked before the solver runs; nothing is made."""
 
     @pytest.mark.parametrize("argv, bad", [
-        ("solve --instance table3 --out {tmp}/gone/front.csv", "{tmp}/gone/front.csv"),
-        ("solve --instance table3 --json {tmp}/gone/front.json", "{tmp}/gone/front.json"),
-        ("solve --instance table3 --out {tmp}/made", "{tmp}/made"),
-        ("tune --instance table3 --out {tmp}/gone/l16", "{tmp}/gone/l16_flowtime_responses.csv"),
-        ("tune --instance table3 --out {tmp}/l16", "{tmp}/l16_energy_table.csv"),
-        ("bench table3 --out {tmp}/gone/bench.csv", "{tmp}/gone/bench.csv"),
-        ("bench table3 --out {tmp}/bench.csv --json {tmp}/gone/b.json", "{tmp}/gone/b.json"),
+        ("solve --instance table3 --out {tmp}/gone/front.csv",
+         "output path {tmp}/gone/front.csv: no such directory"),
+        ("solve --instance table3 --json {tmp}/gone/front.json",
+         "output path {tmp}/gone/front.json: no such directory"),
+        ("solve --instance table3 --out {tmp}/made", "output path {tmp}/made is a directory"),
+        ("tune --instance table3 --out {tmp}/gone/l16",
+         "output path {tmp}/gone/l16_flowtime_responses.csv: no such directory"),
+        ("tune --instance table3 --out {tmp}/l16",
+         "output path {tmp}/l16_energy_table.csv is a directory"),
+        ("bench table3 --out {tmp}/gone/bench.csv",
+         "output path {tmp}/gone/bench.csv: no such directory"),
+        ("bench table3 --out {tmp}/bench.csv --json {tmp}/gone/b.json",
+         "output path {tmp}/gone/b.json: no such directory"),
+        ("generate --jobs 3 --machines 2 --out {tmp}/gone/shop.txt",
+         "output path {tmp}/gone/shop.txt: no such directory"),
+        ("generate --jobs 3 --machines 2 --out {tmp}/made",
+         "output path {tmp}/made is a directory"),
     ], ids=["solve-out", "solve-json", "solve-out-is-dir", "tune-prefix",
-            "tune-table-is-dir", "bench-out", "bench-json"])
+            "tune-table-is-dir", "bench-out", "bench-json", "generate-out",
+            "generate-out-is-dir"])
     def test_exits_2_before_solver_work(self, tmp_path, monkeypatch, capsys, argv, bad):
         _no_solver(monkeypatch)
         (tmp_path / "made").mkdir()

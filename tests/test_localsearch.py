@@ -197,9 +197,9 @@ class TestVnd:
 
     def test_prefix_built_only_at_a_store_miss(self, monkeypatch):
         # a walk whose every neighbour is already in the store prices
-        # nothing and builds no prefix, and walks as it does with an empty
+        # nothing and builds no states, and walks as it does with an empty
         # store; a store another walk filled in part answers some passes
-        # and recentres before any prefix is built, and changes no walk
+        # and recentres before any states are built, and changes no walk
         rng_py = random.Random(12)
         inst = random_instance(rng_py, 5, 3)
         perm = tuple(rng_py.sample(range(5), 5))
@@ -214,11 +214,28 @@ class TestVnd:
             assert walks[0] == walks[1]
         assert dominates(walks[0][1], start.obj)  # the walk recentres
         calls = []
-        for name in ("evaluate", "schedule_prefix"):
+        for name in ("evaluate", "_schedule"):
             monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
         got = vnd_explore(start, inst, 15, Draws(seed), priced=shared)
         assert calls == []
         assert (got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]) == walks[0]
+
+    @pytest.mark.parametrize("perm, message", [
+        ((0, 0), "bijection"), ((0,), "length"), ((0, 1, 2), "length"),
+    ], ids=["repeat", "short", "long"])
+    @pytest.mark.parametrize("store", [None, "full"])
+    def test_start_not_a_permutation_is_refused_before_any_draw(self, perm, message, store):
+        # the states of a non-permutation would misprice every neighbour;
+        # the check runs even when the store answers every neighbour
+        priced = None if store is None else dict.fromkeys(
+            itertools.permutations(perm), evaluate(TOY, (0, 1)))
+        draws = Draws(13)
+        with pytest.raises(ValueError, match=message):
+            vnd_explore(Individual(perm, evaluate(TOY, (0, 1))), TOY, 15, draws,
+                        priced=priced)
+        fresh = Draws(13)
+        assert [draws.integers(2**31) for _ in range(4)] == [
+            fresh.integers(2**31) for _ in range(4)]
 
     def test_explore_archive_mutually_nondominated(self):
         rng_py = random.Random(10)
@@ -293,7 +310,7 @@ class TestAgainstReference:
         # with a store, only a permutation's first proposal is evaluated
         calls, price = [], localsearch.evaluate
         monkeypatch.setattr(localsearch, "evaluate",
-                            lambda prefix, p, *a: calls.append(p) or price(prefix, p, *a))
+                            lambda inst, p, *a: calls.append(p) or price(inst, p, *a))
         inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
         start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
         for seed in range(3):

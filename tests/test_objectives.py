@@ -11,13 +11,10 @@ from greenflowshop.localsearch import (
     insert_job,
     reverse_window,
     swap_positions,
+    vnd_explore,
 )
-from greenflowshop.objectives import (
-    DEFAULT_KAPPA,
-    evaluate,
-    schedule_prefix,
-    simulate_oracle,
-)
+from greenflowshop.objectives import DEFAULT_KAPPA, evaluate, simulate_oracle
+from greenflowshop.pareto import Individual
 from greenflowshop.seeding import Draws
 from support import random_instance, reference_states
 
@@ -188,88 +185,92 @@ def neighbour_moves(draw):
     return inst, perm, insert_job(perm, i, j), min(i, j)
 
 
+def _built(inst, perm, start=0, states=None):
+    """`perm`'s states as the descent builds them with `localsearch._schedule`:
+    from scratch, or resumed at `start` on a copy of `states`, another
+    permutation's that agrees with `perm` before `start`."""
+    states = [((0,) * inst.n_machines, 0)] if states is None else list(states)
+    localsearch._schedule(inst, perm, start, states)
+    return states
+
+
 class TestPrefix:
-    """A `Prefix` is built and resumed, checked, only by `schedule_prefix`;
-    the descent prices a neighbour from one through `localsearch.evaluate`,
-    which checks nothing, and the public `evaluate` refuses one."""
+    """The states of a permutation's prefixes are built and resumed only
+    inside the descent, by `localsearch._schedule`; it prices a neighbour
+    from them through `localsearch.evaluate`, which checks nothing, and the
+    public `evaluate` takes them in no form."""
 
     @given(neighbour_moves(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
     def test_prefix_path_agrees_exactly(self, move, kappa):
         inst, incumbent, neighbour, start = move
-        prefix = schedule_prefix(inst, incumbent)
-        got = localsearch.evaluate(prefix, neighbour, kappa, start)
+        states = _built(inst, incumbent)
+        got = localsearch.evaluate(inst, neighbour, kappa, start, states)
         for expected in (evaluate(inst, neighbour, kappa),
                          simulate_oracle(inst, neighbour, kappa)):
             assert got.flowtime == expected.flowtime
             assert repr(got.energy) == repr(expected.energy)
-        resumed = schedule_prefix(prefix, neighbour, start)
-        assert resumed == schedule_prefix(inst, neighbour)
+        assert _built(inst, neighbour, start, states) == _built(inst, neighbour)
 
     def test_states_follow_the_worked_example(self):
         # job 1 first completes at (3, 7), then job 2 at (5, 12)
-        prefix = schedule_prefix(TOY, (0, 1))
-        assert prefix.states == [((0, 0), 0), ((3, 7), 7), ((5, 12), 19)]
+        assert _built(TOY, (0, 1)) == [((0, 0), 0), ((3, 7), 7), ((5, 12), 19)]
+        # resumed at 0 from (1, 0)'s states, which share only the empty prefix
+        assert _built(TOY, (0, 1), 0, _built(TOY, (1, 0))) == _built(TOY, (0, 1))
 
     def test_prefix_does_not_skip_the_permutation_check(self):
-        # (0, 0) agrees with the prefix before 1, and is still refused
-        prefix = schedule_prefix(TOY, (0, 1))
+        # (0, 0) agrees with (0, 1) before 1, and the public price still
+        # checks it, from scratch, and refuses states as its base
+        states = _built(TOY, (0, 1))
         with pytest.raises(ValueError, match="bijection"):
-            schedule_prefix(prefix, (0, 0), 1)
+            evaluate(TOY, (0, 0))
         with pytest.raises(TypeError, match="Instance"):
-            evaluate(prefix, (0, 0))
+            evaluate(states, (0, 0))
 
-    def test_prefix_of_a_non_permutation_is_refused(self):
-        # every neighbour resumed from such a prefix would be mispriced
-        with pytest.raises(ValueError, match="bijection"):
-            schedule_prefix(TOY, (0, 0))
-        with pytest.raises(ValueError, match="bijection"):
-            schedule_prefix(schedule_prefix(TOY, (0, 1)), (1, 1), 0)
-        with pytest.raises(ValueError, match="length"):
-            schedule_prefix(TOY, (0,))
+    def test_prefix_of_a_non_permutation_is_refused(self, monkeypatch):
+        # every neighbour priced from such states would be mispriced, so the
+        # descent refuses the start before it builds any
+        built = []
+        monkeypatch.setattr(localsearch, "_schedule", lambda *a: built.append(a))
+        for perm, message in (((0, 0), "bijection"), ((1, 1), "bijection"), ((0,), "length")):
+            with pytest.raises(ValueError, match=message):
+                vnd_explore(Individual(perm, (19, 60.0)), TOY, 15, Draws(0))
+        assert built == []
 
     @pytest.mark.parametrize("start", [-1, -3, 3, 10])
     def test_start_outside_the_permutation_is_refused(self, start):
-        # a negative start would index the states from the end and misprice
-        prefix = schedule_prefix(TOY, (0, 1))
-        with pytest.raises(TypeError):  # evaluate has no start
+        # a negative start would index the states from the end and misprice;
+        # the public price has no start, and the descent's comes from a move
+        with pytest.raises(TypeError):
             evaluate(TOY, (1, 0), start=start)
-        with pytest.raises(ValueError, match="start"):
-            schedule_prefix(prefix, (1, 0), start)
 
     @pytest.mark.parametrize("start", [1, 2])
     def test_prefix_that_disagrees_before_start_is_refused(self, start):
         # resuming (1, 0) from (0, 1)'s states would price it as (19, 60.0)
         # at start 2 instead of (18, 40.0), and build wrong states
-        prefix = schedule_prefix(TOY, (0, 1))
+        states = _built(TOY, (0, 1))
         with pytest.raises(TypeError):  # the old resume form
-            evaluate(prefix, (1, 0), DEFAULT_KAPPA, start)
-        with pytest.raises(ValueError, match="differs"):
-            schedule_prefix(prefix, (1, 0), start)
-        assert localsearch.evaluate(prefix, (1, 0), DEFAULT_KAPPA, 0) == (18, 40.0)
+            evaluate(states, (1, 0), DEFAULT_KAPPA, start)
+        assert localsearch.evaluate(TOY, (1, 0), DEFAULT_KAPPA, 0, states) == (18, 40.0)
         assert evaluate(TOY, (1, 0)) == (18, 40.0)
-        assert schedule_prefix(prefix, (1, 0), 0) == schedule_prefix(TOY, (1, 0))
+        assert _built(TOY, (1, 0), 0, states) == _built(TOY, (1, 0))
 
     def test_prefix_prices_on_its_own_instance(self):
-        # a prefix carries the shop it was built on, so a resume cannot mix
-        # one shop's states with another's times (`other` alone gives (29, 180.0))
+        # the descent prices states on the one shop it built them on, and
+        # the public price takes none (`other` alone gives (29, 180.0))
         other = Instance.from_matrix([[9, 1], [1, 9]], [600, 1200])
-        prefix = schedule_prefix(TOY, (0, 1))
-        assert prefix.instance is TOY
-        assert localsearch.evaluate(prefix, (0, 1), DEFAULT_KAPPA, 1) == (19, 60.0)
+        states = _built(TOY, (0, 1))
+        assert localsearch.evaluate(TOY, (0, 1), DEFAULT_KAPPA, 1, states) == (19, 60.0)
         assert evaluate(TOY, (0, 1)) == (19, 60.0)
         assert evaluate(other, (0, 1)) == (29, 180.0)
         with pytest.raises(TypeError, match="Instance"):
-            evaluate(prefix, (0, 1))
+            evaluate(states, (0, 1))
         with pytest.raises(TypeError):
             evaluate(TOY, (0, 1), DEFAULT_KAPPA, 1)
-        assert schedule_prefix(prefix, (1, 0), 0).instance is TOY
-        assert schedule_prefix(prefix, (0, 1), 1) == prefix
+        assert _built(TOY, (0, 1), 1, states) == states
         with pytest.raises(TypeError):
-            evaluate(other, (0, 1), prefix=prefix, start=1)
+            evaluate(other, (0, 1), prefix=states, start=1)
         with pytest.raises(TypeError):
-            evaluate(other, (0, 1), DEFAULT_KAPPA, prefix, 1)
-        with pytest.raises(TypeError):
-            schedule_prefix(other, (0, 1), prefix, 1)
+            evaluate(other, (0, 1), DEFAULT_KAPPA, states, 1)
 
 
 class TestEveryMachineCount:
@@ -296,22 +297,23 @@ def _assert_bit_equal(got, expected):
 
 
 def _assert_every_path_exact(inst, perm, draws):
-    """`evaluate`, `schedule_prefix` and `localsearch.evaluate` resumed at
-    each move's first changed position price `perm` and its neighbours
-    exactly as the oracle does, and build the reference states."""
+    """`evaluate`, and `localsearch.evaluate` from the states
+    `localsearch._schedule` builds, resumed at each move's first changed
+    position, price `perm` and its neighbours exactly as the oracle does,
+    and the builder makes the reference states."""
     _assert_bit_equal(evaluate(inst, perm), simulate_oracle(inst, perm))
-    prefix = schedule_prefix(inst, perm)
-    assert prefix.states == reference_states(inst, perm)
+    states = _built(inst, perm)
+    assert states == reference_states(inst, perm)
     for op in NEIGHBORHOOD_OPS:
         for k, other in op(perm, draws):
             expected = simulate_oracle(inst, other)
-            got = localsearch.evaluate(prefix, other, DEFAULT_KAPPA, k)
+            got = localsearch.evaluate(inst, other, DEFAULT_KAPPA, k, states)
             _assert_bit_equal(got, expected)
             _assert_bit_equal(evaluate(inst, other), expected)
             assert inst.n_machines > 1 or repr(got.energy) == "0.0"  # nothing is charged
-            resumed = schedule_prefix(prefix, other, k)
-            assert resumed == schedule_prefix(inst, other)
-            assert resumed.states == reference_states(inst, other)
+            resumed = _built(inst, other, k, states)
+            assert resumed == _built(inst, other)
+            assert resumed == reference_states(inst, other)
 
 
 def _wide_shops(kind: str, count: int = 12):
