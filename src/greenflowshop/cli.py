@@ -234,6 +234,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be at least 1")
     out = args.out or "bench.csv"
     _check_outputs(out, args.json, inputs=_input_files(args.instances, args.powers))
     powers = _power_source(args.powers)  # read and checked once, before any instance file

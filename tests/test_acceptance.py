@@ -11,6 +11,7 @@ from dataclasses import replace
 from greenflowshop.harness import average_pcts, make_record, percent_diffs
 from greenflowshop.instance import Instance, load_table3, taillard_instance
 from greenflowshop.localsearch import (
+    neighbour,
     op_neighborhood,
     op_reversion,
     op_swap,
@@ -211,14 +212,14 @@ def test_criterion_8_property_suites():
         applications += 1
     base = tuple(range(9))
     for _ in range(10000):
-        for _, out in op_swap(base, draws):
-            assert is_perm(out, 9)
-        for _, out in op_reversion(base, draws):
-            assert is_perm(out, 9)
+        for _, move in op_swap(base, draws):
+            assert is_perm(neighbour(base, move), 9)
+        for _, move in op_reversion(base, draws):
+            assert is_perm(neighbour(base, move), 9)
         applications += 4
     for _ in range(1000):
-        for _, out in op_neighborhood(base, draws):
-            assert is_perm(out, 9)
+        for _, move in op_neighborhood(base, draws):
+            assert is_perm(neighbour(base, move), 9)
         applications += 10
 
     vnd_checked = 0

@@ -386,6 +386,19 @@ class TestSolve:
         assert "kappa" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("runs", ["0", "-1", "-10"])
+    def test_runs_below_one_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, runs
+    ):
+        # the instance and power files do not exist: reading either would
+        # exit 2, and checking the output paths would exit 2 on `gone/`
+        _no_solver(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(["bench", "table3", "shop.txt", "--powers", "pw.txt", "--runs", runs,
+                    "--out", "gone/bench.csv"]) == 3
+        assert capsys.readouterr().err == "greenflowshop: --runs must be at least 1\n"
+        assert not any(tmp_path.iterdir())
+
 
 # sha256 of each output of `bench ta20x5 --runs 2 --pop 8 --gen 2 --seed 5`:
 # the records, their JSON mirror, stderr (progress lines in task order, then

@@ -11,6 +11,7 @@ from greenflowshop.instance import Instance
 from greenflowshop.localsearch import (
     NEIGHBORHOOD_OPS,
     insert_job,
+    neighbour,
     op_neighborhood,
     op_reversion,
     op_swap,
@@ -18,8 +19,8 @@ from greenflowshop.localsearch import (
     swap_positions,
     vnd_explore,
 )
-from greenflowshop.objectives import evaluate, simulate_oracle
-from greenflowshop.pareto import Individual, dominates
+from greenflowshop.objectives import Objectives, evaluate, simulate_oracle
+from greenflowshop.pareto import Individual, crowding_distance, dominates, fast_nondominated_sort
 from greenflowshop.seeding import Draws
 from support import (
     NUMPY_NEIGHBORHOOD_OPS,
@@ -48,44 +49,51 @@ class TestPrimitives:
         assert insert_job((1, 2, 3), 2, 0) == (3, 1, 2)
 
 
+def _proposed(op, perm, draws):
+    """`op`'s neighbours of `perm` as `(k, neighbour)` pairs."""
+    return [(k, neighbour(perm, move)) for k, move in op(perm, draws)]
+
+
 class TestOperators:
     def test_swap_returns_two(self):
-        out = op_swap((0, 1, 2, 3), Draws(0))
+        out = _proposed(op_swap, (0, 1, 2, 3), Draws(0))
         assert len(out) == 2
         for _, p in out:
             assert sorted(p) == [0, 1, 2, 3]
 
     def test_reversion_returns_two(self):
-        out = op_reversion((0, 1, 2, 3, 4), Draws(0))
+        out = _proposed(op_reversion, (0, 1, 2, 3, 4), Draws(0))
         assert len(out) == 2
         for _, p in out:
             assert sorted(p) == [0, 1, 2, 3, 4]
 
     def test_neighborhood_returns_ten(self):
-        out = op_neighborhood((0, 1, 2), Draws(0))
+        out = _proposed(op_neighborhood, (0, 1, 2), Draws(0))
         assert len(out) == 10
         for _, p in out:
             assert sorted(p) == [0, 1, 2]
 
     def test_single_job_degenerate(self):
         rng = Draws(0)
-        assert op_swap((0,), rng) == ((1, (0,)), (1, (0,)))
-        assert op_reversion((0,), rng) == ((1, (0,)), (1, (0,)))
-        assert op_neighborhood((0,), rng) == tuple((1, (0,)) for _ in range(10))
+        assert op_swap((0,), rng) == ((1, 0), (1, 0))
+        assert op_reversion((0,), rng) == ((1, 0), (1, 0))
+        assert op_neighborhood((0,), rng) == tuple((1, 0) for _ in range(10))
+        assert neighbour((0,), 0) == (0,)
+        assert rng.integers(2**31) == Draws(0).integers(2**31)  # nothing was drawn
 
     def test_closure_over_many_applications(self):
         rng = Draws(42)
         base = tuple(range(8))
         for _ in range(500):
             for op in NEIGHBORHOOD_OPS:
-                for _, out in op(base, rng):
+                for _, out in _proposed(op, base, rng):
                     assert sorted(out) == list(range(8))
 
     def test_swap_changes_exactly_two_positions(self):
         rng = Draws(1)
         base = tuple(range(6))
         for _ in range(50):
-            for _, out in op_swap(base, rng):
+            for _, out in _proposed(op_swap, base, rng):
                 assert sum(a != b for a, b in zip(base, out)) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 20, 50])
@@ -97,7 +105,7 @@ class TestOperators:
         for _ in range(300):
             perm = tuple(py.sample(range(n), n))
             a = py.randrange(3)
-            perms = tuple(p for _, p in NEIGHBORHOOD_OPS[a](perm, draws))
+            perms = tuple(p for _, p in _proposed(NEIGHBORHOOD_OPS[a], perm, draws))
             assert perms == NUMPY_NEIGHBORHOOD_OPS[a](perm, live)
         assert_same_position(draws, live)
 
@@ -110,9 +118,35 @@ class TestOperators:
             draws = Draws(seed)
             perm = tuple(py.sample(range(n), n))
             for op in NEIGHBORHOOD_OPS:
-                for k, out in op(perm, draws):
+                for k, out in _proposed(op, perm, draws):
                     first = next((i for i, (a, b) in enumerate(zip(perm, out)) if a != b), n)
                     assert k == first
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_a_move_names_one_neighbour_of_any_incumbent(self, n):
+        # the memo keys an incumbent's neighbours by move: a swap of i and j
+        # is one move whichever comes first, distinct swaps and reversals
+        # are distinct moves, the operators' moves never collide, and each
+        # names the same change of every incumbent
+        made = {op: {} for op in NEIGHBORHOOD_OPS}  # move -> change of range(n)
+        draws, py = Draws(n), random.Random(n)
+        base = tuple(range(n))
+        for _ in range(400):
+            perm = tuple(py.sample(range(n), n))
+            for op in NEIGHBORHOOD_OPS:
+                for k, move in op(perm, draws):
+                    change = neighbour(base, move)
+                    assert made[op].setdefault(move, change) == change
+                    assert neighbour(perm, move) == tuple(perm[i] for i in change)
+                    assert neighbour(perm, move)[:k] == perm[:k]
+        swaps = {frozenset(i for i in range(n) if change[i] != i)
+                 for change in made[op_swap].values()}
+        assert len(swaps) == len(made[op_swap]) == n * (n - 1) // 2
+        assert len(set(made[op_reversion].values())) == len(made[op_reversion])
+        assert len(made[op_reversion]) == n * (n - 1) // 2
+        assert len(made[op_neighborhood]) == n * (n - 1)
+        moves = [set(made[op]) for op in NEIGHBORHOOD_OPS]
+        assert sum(map(len, moves)) == len(set().union(*moves))
 
     def test_neighborhood_moves_distinct_when_possible(self):
         # 4 jobs allow 12 distinct (src, dst) moves, so the ten picks differ
@@ -120,7 +154,7 @@ class TestOperators:
         base = (0, 1, 2, 3)
         for _ in range(20):
             out = op_neighborhood(base, rng)
-            assert len(out) == 10
+            assert len(out) == len(set(out)) == 10
 
 
 class TestVnd:
@@ -220,6 +254,37 @@ class TestVnd:
         assert calls == []
         assert (got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]) == walks[0]
 
+    def test_warm_memo_builds_and_prices_nothing(self, monkeypatch):
+        # descents from one start that share a store resolve each
+        # (incumbent, move) pair once; replayed over the warm store they
+        # build no neighbour, price none and build no states, and walk,
+        # harvest and leave their draws as the cold runs did, which walk
+        # as descents without a store do
+        rng_py = random.Random(14)
+        inst = random_instance(rng_py, 6, 3)
+        perm = tuple(rng_py.sample(range(6), 6))
+        start = Individual(perm, evaluate(inst, perm))
+
+        def walks(**store):
+            out = []
+            for seed in range(10):
+                draws = Draws(seed)
+                best, archive = vnd_explore(start, inst, 15, draws, **store)
+                out.append((best.perm, best.obj, [(i.perm, i.obj) for i in archive],
+                            [draws.integers(2**32) for _ in range(3)]))
+            return out
+
+        priced, memo = {}, {}
+        cold = walks(priced=priced, memo=memo)
+        assert cold == walks()
+        assert len(memo) > 1  # the walks recentre
+        assert any(entry == () for moves in memo.values() for entry in moves.values())
+        calls = []
+        for name in ("neighbour", "evaluate", "_schedule"):
+            monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
+        assert walks(priced=priced, memo=memo) == cold
+        assert calls == []
+
     @pytest.mark.parametrize("perm, message", [
         ((0, 0), "bijection"), ((0,), "length"), ((0, 1, 2), "length"),
     ], ids=["repeat", "short", "long"])
@@ -265,18 +330,23 @@ def descent_cases(draw):
 
 
 def _same_descent(instance, perm, max_iters, seed):
-    """Without a store, and twice with one shared store (the second run
-    prices nothing new), the descent walks as the reference does, and
-    leaves its draws on the half-word where the reference's numpy draws
-    left theirs; every stored entry is the permutation's true objectives."""
+    """Without a store, twice with one shared store and its memo (the second
+    run resolves every move from the memo), and once more with the store
+    alone (which answers every neighbour), the descent walks as the
+    reference does, and leaves its draws on the half-word where the
+    reference's numpy draws left theirs.  Every stored entry is the
+    permutation's true objectives; every memo entry of an incumbent's move
+    holds the move's neighbour and its true objectives, or is dropped
+    exactly when the incumbent's true objectives weakly dominate them."""
     start = Individual(perm, evaluate(instance, perm))
     ref_rng = np.random.default_rng(seed)
     ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
     ref_state = ref_rng.bit_generator.state
-    priced = {}
-    for store in (None, priced, priced):
+    priced, memo = {}, {}
+    for store in ({}, {"priced": priced, "memo": memo}, {"priced": priced, "memo": memo},
+                  {"priced": priced}):
         draws = Draws(seed)
-        best, archive = vnd_explore(start, instance, max_iters, draws, priced=store)
+        best, archive = vnd_explore(start, instance, max_iters, draws, **store)
         assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
         assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
         ref_rng.bit_generator.state = ref_state
@@ -285,6 +355,17 @@ def _same_descent(instance, perm, max_iters, seed):
         oracle = simulate_oracle(instance, p)
         assert obj == evaluate(instance, p)
         assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
+    for incumbent, moves in memo.items():
+        held = simulate_oracle(instance, incumbent)
+        for move, entry in moves.items():
+            other = neighbour(incumbent, move)
+            oracle = simulate_oracle(instance, other)
+            covered = held.flowtime <= oracle.flowtime and held.energy <= oracle.energy
+            assert (entry == ()) == covered
+            if entry:
+                obj, got = entry
+                assert got == other
+                assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
 
 
 class TestAgainstReference:
@@ -328,3 +409,44 @@ class TestAgainstReference:
             times = [[rng.choice((0, rng.randint(1, 30))) for _ in range(m)] for _ in range(n)]
             inst = Instance.from_matrix(times, [rng.randint(700, 1500) for _ in range(m)])
             _same_descent(inst, tuple(rng.sample(range(n), n)), case % 16, case)
+
+
+def _crowded_pick(pool):
+    """The index of the member `vnd_explore` recentres on in a pool of
+    `(objectives, perm, k)`: the rank-1 member of largest crowding, the
+    first on ties."""
+    ranked = [Individual(perm, obj) for obj, perm, _ in pool]
+    top = crowding_distance(fast_nondominated_sort(ranked)[0])
+    return ranked.index(max(top, key=lambda ind: ind.crowding))
+
+
+@st.composite
+def beaten_incumbents(draw):
+    """A pool of `(objectives, perm, k)` on a small grid, so that points tie
+    in one objective or repeat outright, and an incumbent that a member
+    strictly dominates."""
+    member = st.tuples(st.integers(0, 6), st.integers(0, 6), st.sampled_from([(0, 1), (1, 0)]),
+                       st.integers(0, 2))
+    pool = [(Objectives(ft, float(en)), perm, k)
+            for ft, en, perm, k in draw(st.lists(member, min_size=1, max_size=12))]
+    better = draw(st.sampled_from(pool))[0]
+    gap = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (2, 3)]))
+    return pool, Objectives(better.flowtime + gap[0], better.energy + gap[1])
+
+
+class TestDropLemma:
+    """A pass that recentres picks the same member whether or not its pool
+    holds the neighbours that the incumbent weakly dominates, which is why
+    `vnd_explore` drops them."""
+
+    @given(beaten_incumbents())
+    # a trade-off member, worse than the incumbent in flowtime alone, is
+    # the pick: a filter that also dropped it would pick (4, 4.0)
+    @example(([(Objectives(4, 4.0), (0, 1), 0), (Objectives(3, 9.0), (0, 1), 1),
+               (Objectives(6, 2.0), (1, 0), 0), (Objectives(7, 7.0), (1, 0), 2)],
+              Objectives(5, 5.0)))
+    def test_dropping_what_the_incumbent_weakly_dominates_keeps_the_pick(self, case):
+        pool, (bft, ben) = case
+        kept = [i for i, (obj, _, _) in enumerate(pool)
+                if not (obj.flowtime >= bft and obj.energy >= ben)]
+        assert kept[_crowded_pick([pool[i] for i in kept])] == _crowded_pick(pool)

@@ -483,11 +483,13 @@ class TestPricedOnce:
     its objectives, so a permutation reaches `evaluate` once among one
     generation's offspring.  Descents from a start that began more than one
     descent in the previous generation too share the neighbours they
-    priced, also with that generation's descents from the start."""
+    priced, also with that generation's descents from the start, and each
+    such store keeps one memo of resolved moves for as long as it lives."""
 
     def test_no_repeat_reaches_evaluate(self, table3, monkeypatch):
         gens = []  # one record per generation
         starts = []  # the start of the descent under way
+        memos = {}  # id(priced) -> (priced, memo), holding both alive
         explore = nsga2.vnd_explore
         offspring_eval, descent_eval = nsga2.evaluate, localsearch.evaluate
 
@@ -496,12 +498,15 @@ class TestPricedOnce:
                 gens[-1].offspring.append(perm)
             return offspring_eval(instance, perm, *args)
 
-        def counted_explore(start, *args, priced=None):
+        def counted_explore(start, *args, priced=None, memo=None):
             gens[-1].descents[start.perm] += 1
             gens[-1].stored[start.perm].add(priced is not None)
+            assert (memo is None) == (priced is None)
+            if priced is not None:
+                assert memos.setdefault(id(priced), (priced, memo))[1] is memo
             starts.append(start.perm)
             try:
-                return explore(start, *args, priced=priced)
+                return explore(start, *args, priced=priced, memo=memo)
             finally:
                 starts.pop()
 

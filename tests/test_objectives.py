@@ -9,6 +9,7 @@ from greenflowshop.instance import Instance
 from greenflowshop.localsearch import (
     NEIGHBORHOOD_OPS,
     insert_job,
+    neighbour,
     reverse_window,
     swap_positions,
     vnd_explore,
@@ -305,7 +306,8 @@ def _assert_every_path_exact(inst, perm, draws):
     states = _built(inst, perm)
     assert states == reference_states(inst, perm)
     for op in NEIGHBORHOOD_OPS:
-        for k, other in op(perm, draws):
+        for k, move in op(perm, draws):
+            other = neighbour(perm, move)
             expected = simulate_oracle(inst, other)
             got = localsearch.evaluate(inst, other, DEFAULT_KAPPA, k, states)
             _assert_bit_equal(got, expected)
