@@ -201,9 +201,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    config = _config(args)
     _check_outputs(args.out, args.json, inputs=_input_files([args.instance], args.powers))
-    instance = _load_instance(args)
-    front = evolve(instance, _config(args))
+    front = evolve(_load_instance(args), config)
     harness.write_front_csv(args.out, front)
     if args.out:
         print(f"wrote {args.out} ({len(front)} front points)")
@@ -213,15 +213,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    config = RunConfig(seed=args.seed, ls_enabled=args.ls == "on", kappa=args.kappa)
     prefix = args.out or "tuning"
     paths = {response: (f"{prefix}_{response}_responses.csv", f"{prefix}_{response}_table.csv")
              for response in ("flowtime", "energy")}
     _check_outputs(*paths["flowtime"], *paths["energy"],
                    inputs=_input_files([args.instance], args.powers))
-    instance = _load_instance(args)
-    config = RunConfig(seed=args.seed, ls_enabled=args.ls == "on", kappa=args.kappa)
     tables = {}
-    for response, responses in tuning.run_design(instance, config).items():
+    for response, responses in tuning.run_design(_load_instance(args), config).items():
         table = tuning.response_table(responses)
         tables[response] = table
         rows_path, table_path = paths[response]
@@ -236,6 +235,7 @@ def _cmd_tune(args) -> int:
 def _cmd_bench(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
+    config = _config(args)
     out = args.out or "bench.csv"
     _check_outputs(out, args.json, inputs=_input_files(args.instances, args.powers))
     powers = _power_source(args.powers)  # read and checked once, before any instance file
@@ -244,7 +244,7 @@ def _cmd_bench(args) -> int:
     def progress(task, done, total):
         print(f"{task.problem} #{task.dataset}: run {done}/{total}", file=sys.stderr)
 
-    records = harness.run_benchmark(tasks, _config(args), args.runs, on_progress=progress)
+    records = harness.run_benchmark(tasks, config, args.runs, on_progress=progress)
     harness.write_bench_csv(out, records)
     if args.json:
         harness.write_bench_json(args.json, records)

@@ -105,11 +105,9 @@ def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, int], ...]:
     else:
         # the ten draws of numpy's `integers(total_moves, size=10)`
         picks = [draws.integers(total_moves) for _ in range(10)]
-    out = []
-    for code in picks:
-        src, offset = divmod(code, n - 1)
-        out.append((src if src <= offset else offset, 3 * code + 2))
-    return tuple(out)
+    d = n - 1  # a code is src * d + offset; the move changes nothing before min(src, offset)
+    return tuple([(src if (src := code // d) <= (offset := code - src * d) else offset,
+                   3 * code + 2) for code in picks])
 
 
 def neighbour(perm, move: int) -> tuple[int, ...]:

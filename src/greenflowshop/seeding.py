@@ -4,14 +4,18 @@ use, so distinct uses never share a stream.
 
 Every seeded draw goes through `Draws`, which replays numpy's `Generator`
 algorithms in Python from a PCG64 bit generator's raw words: one numpy call
-per chunk of words instead of one per draw, and each single bounded draw
-read inline.  numpy's RNG policy (NEP 19) keeps the raw stream of a seeded
-bit generator stable, but not the `Generator` methods' algorithms, so no
-`Generator` is built and no draw depends on anything but `SeedSequence`
-and the raw stream.
+per chunk of words instead of one per draw, each single bounded draw read
+inline, and each sample without replacement drawn by a sampler compiled
+once per shape, with the generic draw loop only as the fallback where
+Lemire's method might reject a draw.  numpy's RNG policy (NEP 19) keeps
+the raw stream of a seeded bit generator stable, but not the `Generator`
+methods' algorithms, so no `Generator` is built and no draw depends on
+anything but `SeedSequence` and the raw stream.
 """
 
 from __future__ import annotations
+
+import functools
 
 from numpy.random import PCG64, SeedSequence
 
@@ -35,6 +39,39 @@ def child_seed(seed: int, *key: int) -> int:
     return int(_sequence(seed, key).generate_state(1)[0])
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _sampler(n: int, k: int):
+    """`(sample, size)` for `Draws.choice(n, k)`, with `size` its number of
+    bounded draws: Floyd's, one on [0, top] for each top from n - k to n - 1
+    (none for top 0, whose pick is 0), then the shuffle's, one on [0, i]
+    for i from k - 1 down to 1.  `sample(half, at)` reads the `size`
+    half-words from `half[at]` on and returns the sample, or None if any
+    draw fails Lemire's quick test `m & 0xFFFFFFFF < b`, so that the method
+    might reject it.  Source made from `n` and `k` alone: the half-words in
+    `h{i}`, their products with the bounds in `m{i}`, the picks in a list
+    that Floyd searches, taking top itself for a pick already taken."""
+    if type(n) is not int or type(k) is not int or not 0 <= k <= min(n, 200) or n > 1 << 32:
+        raise ValueError(f"cannot draw {k!r} of {n!r} without replacement")
+    tops = range(max(n - k, 1), n)
+    bounds = [*(top + 1 for top in tops), *range(k, 1, -1)]  # Floyd's, the shuffle's
+    reads = "".join(f"h{i}, " for i in range(len(bounds)))
+    products = "".join(f"\n    m{i} = h{i} * {b}" for i, b in enumerate(bounds))
+    flagged = " or ".join(f"m{i} & 0xFFFFFFFF < {b}" for i, b in enumerate(bounds))
+    first_pick = "0" if n == k > 0 else "m0 >> 32" if k else ""  # none for k = 0
+    floyd = "".join(f"\n    p = m{i} >> 32\n    picks.append({top} if p in picks else p)"
+                    for i, top in enumerate(tops) if i or n == k)
+    shuffle = "".join(f"\n    j = m{i} >> 32\n    picks[{p}], picks[j] = picks[j], picks[{p}]"
+                      for i, p in enumerate(range(k - 1, 0, -1), len(tops)))
+    namespace = {}
+    exec(f"""def sample(half, at):
+    ({reads}) = half[at:at + {len(bounds)}]{products}
+    if {flagged or False}:
+        return None
+    picks = [{first_pick}]{floyd}{shuffle}
+    return picks""", namespace)
+    return namespace["sample"], len(bounds)
+
+
 class Draws:
     """The draws of a `Generator` on the PCG64 stream of `key` under `seed`
     (for an empty key, the root seed's own), replayed from its raw words.
@@ -50,9 +87,11 @@ class Draws:
     Lemire might reject.  Sampling without replacement is Floyd's algorithm
     (Bentley & Floyd, CACM 1987) followed by a Fisher-Yates shuffle, which
     is what numpy does for samples of up to 200 from up to 2^32 values;
-    larger ones are not replayed.  `permutation` shuffles with partners
-    drawn by masked rejection (numpy's `random_interval`) on the same
-    half-words.
+    larger ones are not replayed.  `choice` reads all of a sample's draws
+    at once through the `_sampler` compiled for its shape, and redraws them
+    through `_below` only when one might be rejected.  `permutation`
+    shuffles with partners drawn by masked rejection (numpy's
+    `random_interval`) on the same half-words.
     """
 
     def __init__(self, seed: int, *key: int):
@@ -123,14 +162,17 @@ class Draws:
 
     def choice(self, n: int, k: int) -> list[int]:
         """`Generator.choice(n, k, replace=False)` as a list of ints."""
-        if not 0 <= k <= min(n, 200) or n > 1 << 32:
-            raise ValueError(f"cannot draw {k} of {n} without replacement")
-        if k == 2 and n > 2:  # the tournaments' and the crossover's draw
-            i, j, swap = self._below((n - 1, n, 2))
-            if j == i:
-                j = n - 1
-            return [j, i] if swap == 0 else [i, j]
-        # numpy skips Floyd's first draw when its range [0, n - k] is {0}
+        sample, size = _sampler(n, k)
+        at = self._at
+        if at + size > len(self._half):
+            self._pull()
+            at = self._at
+        picks = sample(self._half, at)
+        if picks is not None:
+            self._at = at + size
+            return picks
+        # Lemire might reject a draw: Floyd's loop over `_below`'s exact
+        # draws; numpy skips Floyd's first draw when its range [0, n - k] is {0}
         first = max(n - k, 1)
         draws = self._below([*range(first + 1, n + 1), *range(k, 1, -1)])
         picks = [0] * (first - n + k)

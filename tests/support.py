@@ -206,6 +206,21 @@ def assert_same_position(draws, rng):
     assert draws.permutation(20) == rng.permutation(20).tolist()
 
 
+def reference_choice(draws, n, k):
+    """`Generator.choice(n, k, replace=False)` as numpy writes it, one draw
+    at a time through `draws._below`, the generic Lemire loop: Floyd's
+    pick on [0, top] for each top from n - k up (0 itself undrawn), top
+    for a pick already taken, then a shuffle from position k - 1 down."""
+    picks = []
+    for top in range(n - k, n):
+        pick = draws._below((top + 1,))[0] if top else 0
+        picks.append(top if pick in picks else pick)
+    for i in range(k - 1, 0, -1):
+        j = draws._below((i + 1,))[0]
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
 def reference_vnd_explore(start, instance, max_iters, rng, kappa=DEFAULT_KAPPA):
     """The descent as first written: every neighbour gets a full `evaluate`,
     every pass ranks its pool and picks the most crowded rank-1 member,

@@ -399,6 +399,29 @@ class TestSolve:
         assert capsys.readouterr().err == "greenflowshop: --runs must be at least 1\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, field", [
+        (["solve", "--instance", "missing.txt", "--kappa", "nan", "--out", "gone/f.csv"],
+         "kappa"),
+        (["bench", "missing.txt", "--pop", "1", "--out", "gone/bench.csv"], "pop_size"),
+        (["tune", "--instance", "missing.txt", "--kappa", "-1", "--out", "gone/t"], "kappa"),
+    ], ids=["solve", "bench", "tune"])
+    def test_bad_config_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, field
+    ):
+        # reading `missing.txt` or checking the output paths in `gone/`
+        # would exit 2
+        _no_solver(monkeypatch)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("an instance was loaded")
+
+        monkeypatch.setattr(cli_module, "_load_tasks", no_load)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("greenflowshop: ") and field in err
+        assert not any(tmp_path.iterdir())
+
 
 # sha256 of each output of `bench ta20x5 --runs 2 --pop 8 --gen 2 --seed 5`:
 # the records, their JSON mirror, stderr (progress lines in task order, then

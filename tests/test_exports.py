@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import greenflowshop
-from greenflowshop import objectives
+from greenflowshop import objectives, seeding
 
 MODULES = ["greenflowshop"] + [
     f"greenflowshop.{info.name}" for info in pkgutil.iter_modules(greenflowshop.__path__)
@@ -40,8 +40,9 @@ def test_only_seeding_imports_numpy():
 
 
 def test_exec_and_eval_only_in_the_kernel_builder():
-    # the one place that compiles source, which it builds from a machine
-    # count alone
+    # the two places that compile source: the pricing kernel, built from a
+    # machine count alone, and the sampler of `Draws.choice`, built from
+    # its shape alone
     package = Path(greenflowshop.__file__).parent
     uses = []
     for path in sorted(package.glob("*.py")):
@@ -57,7 +58,7 @@ def test_exec_and_eval_only_in_the_kernel_builder():
                     node.name if isinstance(node, ast.alias) else None)
             if name in ("exec", "eval"):
                 uses.append((path.stem, scope[id(node)], name))
-    assert uses == [("objectives", "_kernel", "exec")]
+    assert uses == [("objectives", "_kernel", "exec"), ("seeding", "_sampler", "exec")]
 
 
 @pytest.mark.parametrize("m", [0, -3, 1.0, 2.5, True, "3", None])
@@ -71,3 +72,17 @@ def test_kernel_rejects_a_bad_machine_count_before_building(m, monkeypatch):
     monkeypatch.setattr(objectives, "exec", no_exec, raising=False)
     with pytest.raises(ValueError, match="positive int"):
         objectives._kernel(m)
+
+
+@pytest.mark.parametrize("n, k", [(210.0, 10), (210, 10.0), (True, 1), (2, True), ("3", 2),
+                                  (None, 2), (3, 4), (5, -1), (20000, 201), (2**32 + 1, 2)])
+def test_sampler_rejects_a_bad_shape_before_building(n, k, monkeypatch):
+    for built in ((210, 10), (1, 1), (2, 1)):  # cached ints must not answer for floats or bools
+        seeding._sampler(*built)
+
+    def no_exec(*args, **kwargs):
+        raise AssertionError("source was compiled")
+
+    monkeypatch.setattr(seeding, "exec", no_exec, raising=False)
+    with pytest.raises(ValueError, match="without replacement"):
+        seeding._sampler(n, k)

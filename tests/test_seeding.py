@@ -2,6 +2,7 @@
 call it stands for, and a tail drawn after them agrees on both sides, so
 `Draws` stands on the half-word where those calls left the generator."""
 
+import copy
 import random
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from greenflowshop.seeding import _CHUNK, Draws
-from support import assert_same_position
+from greenflowshop.seeding import _CHUNK, Draws, _sampler
+from support import assert_same_position, reference_choice
 
 # The bounds the solver draws under: jobs at table3 and 20x5 sizes,
 # population sizes, reinsertion move counts (15*14, 50*49, and the 2 and
@@ -91,9 +92,9 @@ class TestAgainstNumpy:
     def test_integers_bound(self, n, cached):
         assert_replays(n, cached, [("integers", (n,))] * 50)
 
-    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (16, 2), (21, 2), (200, 2),
-                                      (210, 10), (2450, 10), (6, 6), (12, 10),
-                                      (3 * 2**30, 10), (10001, 200)])
+    @pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (16, 2),
+                                      (21, 2), (200, 2), (210, 10), (2450, 10), (6, 6),
+                                      (12, 10), (3 * 2**30, 10), (10001, 200)])
     @pytest.mark.parametrize("cached", [False, True])
     def test_choice(self, n, k, cached):
         assert_replays(n + k, cached, [("choice", (n, k))] * 20)
@@ -118,15 +119,21 @@ class TestAgainstNumpy:
         assert_same_position(draws, live)
 
 
+def lead_to(cached, left):
+    """Calls that, after `OPEN_CACHED` with `cached`, leave `left` unread
+    half-words in the first pulled chunk.  `integers(2)` takes exactly one
+    half-word."""
+    return [("integers", (2,))] * (2 * _CHUNK - left - cached)
+
+
 def lead_in(cached, where):
     """Calls that, after `OPEN_CACHED` with `cached`, leave the next 32-bit
     draw on the last half-word of the first pulled chunk (`where ==
     "last"`) or on the first half-word of the second, pulled by a `random`
-    (`"first"`).  `integers(2)` takes exactly one half-word."""
-    steps = 2 * _CHUNK - 1 - cached
+    (`"first"`)."""
     if where == "last":
-        return [("integers", (2,))] * steps
-    return [("integers", (2,))] * (steps - 1) + [("random", ())]
+        return lead_to(cached, 1)
+    return lead_to(cached, 2) + [("random", ())]
 
 
 def replayed_draws(seed, cached, sequence):
@@ -138,8 +145,9 @@ def replayed_draws(seed, cached, sequence):
 
 class TestChunkEdges:
     """`integers` reads a half-word inline unless it is past the pulled
-    words or Lemire might reject it; these pin the reads on either side
-    of a pull, where the inline read and `_below` hand over."""
+    words or Lemire might reject it, and `choice` pulls first when fewer
+    half-words are left than its sample draws; these pin the reads on
+    either side of a pull, where the inline reads and `_below` hand over."""
 
     @pytest.mark.parametrize("where", ["last", "first"])
     @pytest.mark.parametrize("cached", [False, True])
@@ -157,6 +165,16 @@ class TestChunkEdges:
         if n >= 2:
             assert_replays(n, cached, lead + [("choice", (n, 2))] * 3)
 
+    @pytest.mark.parametrize("n, k", [(210, 10), (380, 10), (2450, 10), (200, 2), (21, 2)])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_choice_with_fewer_half_words_left_than_it_reads(self, n, k, cached):
+        # Floyd draws k times and the shuffle k - 1 times
+        for left in range(1, 2 * k - 1):
+            lead = lead_to(cached, left)
+            draws = replayed_draws(n, cached, lead)
+            assert len(draws._half) - draws._at == left
+            assert_replays(n, cached, lead + [("choice", (n, k))] * 3)
+
     @pytest.mark.parametrize("seed, cached", [(0, False), (5, True)])
     def test_rejection_on_the_last_half_word_redraws_from_the_next_chunk(self, seed, cached):
         # under 3 * 2^30 a quarter of the half-words are rejected; these
@@ -166,6 +184,44 @@ class TestChunkEdges:
         draws.integers(3 * 2**30)
         assert draws._at > len(draws._half) - 2 * _CHUNK  # read into the next chunk
         assert_replays(seed, cached, lead + [("integers", (3 * 2**30,))] * 3)
+
+
+def flagged_halves(b):
+    """Half-words that fail Lemire's quick test `h * b & 0xFFFFFFFF < b`
+    under bound `b`: one that the method rejects, when `b` does not divide
+    2^32, then one that it accepts."""
+    threshold = (1 << 32) % b
+    out = [0] if threshold else []  # 0 * b leaves 0 below the threshold
+    for j in range(1, b + 1):
+        h = -((-j << 32) // b)  # ceil(j * 2^32 / b); h * b lands just past j * 2^32
+        if threshold <= h * b - (j << 32):
+            return [*out, h]
+    raise AssertionError(f"no accepted flagged half-word under {b}")
+
+
+class TestQuickTestFallback:
+    """A draw that fails the compiled sampler's quick test sends `choice`
+    down the exact path from the same half-word, whether Lemire then
+    rejects it (one half-word more is read) or accepts it."""
+
+    @pytest.mark.parametrize("n, k", [(210, 10), (2450, 10), (200, 2), (21, 2), (6, 6),
+                                      (12, 10)])
+    def test_a_flagged_read_at_each_position(self, n, k):
+        tops = range(max(n - k, 1), n)
+        bounds = [*(top + 1 for top in tops), *range(k, 1, -1)]
+        for at, b in enumerate(bounds):
+            for h in flagged_halves(b):
+                draws = Draws(at)
+                draws._pull()
+                draws._half[at] = h
+                reference = copy.deepcopy(draws)
+                rejected = h * b & 0xFFFFFFFF < (1 << 32) % b
+                assert _sampler(n, k)[0](draws._half, 0) is None
+                assert draws.choice(n, k) == reference_choice(reference, n, k)
+                assert draws._at == reference._at == len(bounds) + rejected
+                assert ([draws.integers(2**32), draws.random(), draws.permutation(20)]
+                        == [reference.integers(2**32), reference.random(),
+                            reference.permutation(20)])
 
 
 class TestRejectsWhatNumpyRejects:
