@@ -38,7 +38,13 @@ from greenflowshop.pareto import (
     unique_sorted,
 )
 from greenflowshop.seeding import STREAM_INIT, STREAM_LOCAL, STREAM_VARIATION, Draws
-from support import enumerate_front, naive_dominates, reference_ox_child
+from support import (
+    enumerate_front,
+    naive_dominates,
+    reference_crowding_distance,
+    reference_nondominated_sort,
+    reference_ox_child,
+)
 
 TOY = Instance.from_matrix([[3, 4], [2, 5]], [600, 1200])
 
@@ -266,6 +272,30 @@ class TestEliteRetention:
         assert [pool.index(i) for i in kept] == [0, 6, 3, 4]
         assert [(i.rank, i.crowding) for i in kept] == [
             (1, math.inf), (1, math.inf), (1, 11.0), (1, 9.0)
+        ]
+        assert [(i.rank, i.crowding) for i in kept] == _fresh_ranking(kept)
+
+
+    @pytest.mark.parametrize("size", [3, 5, 8, 12])
+    def test_front_of_copies_truncated_as_reference(self, monkeypatch, size):
+        # an elitist pool: rank 1 holds copies of four points, more than fit;
+        # the survivors, their order and their crowding bits are those the
+        # reference sort and crowding give, and a fresh ranking's
+        points = [(1, 9.5), (3, 6.25), (4, 2.5), (8, 1.0), (9, 9.0), (12, 3.0)]
+        rng = random.Random(size)
+        layout = [rng.choice([0, 1, 1, 2, 2, 2, 3, 4, 5]) for _ in range(2 * size)]
+        pool = [ind(*points[k]) for k in layout]
+        twin = [ind(*points[k]) for k in layout]
+        kept = _select_next(rank_population(pool), size)
+        assert sum(i.rank == 1 for i in pool) > size
+        fronts = reference_nondominated_sort(twin)
+        for front in fronts:
+            reference_crowding_distance(front)
+        monkeypatch.setattr(nsga2, "crowding_distance", reference_crowding_distance)
+        expected = _select_next(fronts, size)
+        assert [pool.index(i) for i in kept] == [twin.index(i) for i in expected]
+        assert [(i.rank, repr(i.crowding)) for i in kept] == [
+            (i.rank, repr(i.crowding)) for i in expected
         ]
         assert [(i.rank, i.crowding) for i in kept] == _fresh_ranking(kept)
 

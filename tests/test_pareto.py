@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -125,6 +126,124 @@ class TestAgainstReferenceRanking:
             ]
 
 
+def copies_of(points, layout):
+    """Two parallel pools over `points`: `layout` lists, in member order,
+    either a point's index, for a new member at that point, or `~k`, to
+    list the pool's k-th member object again."""
+    pools = [], []
+    for pool in pools:
+        for k in layout:
+            if k < 0:
+                pool.append(pool[~k])
+            else:
+                pool.append(ind(*points[k]))
+    return pools
+
+
+def places(pool, members):
+    """Each member's first place in `pool`, by identity."""
+    first = {}
+    for k, i in enumerate(pool):
+        first.setdefault(id(i), k)
+    return [first[id(i)] for i in members]
+
+
+def assert_ranked_as_reference(got, expected):
+    """`rank_population` on `got` and the reference sort and crowding on
+    `expected` (a parallel pool) agree front by front, rank by rank and bit
+    for bit; so do `fast_nondominated_sort` and `crowding_distance`."""
+    fronts = rank_population(got)
+    reference = reference_nondominated_sort(expected)
+    for front in reference:
+        reference_crowding_distance(front)
+    assert [places(got, f) for f in fronts] == [places(expected, f) for f in reference]
+    assert [(i.rank, repr(i.crowding)) for i in got] == [
+        (i.rank, repr(i.crowding)) for i in expected
+    ]
+    for member in got:
+        member.rank = member.crowding = None
+    sorted_fronts = fast_nondominated_sort(got)
+    assert [places(got, f) for f in sorted_fronts] == [places(expected, f) for f in reference]
+    for front in sorted_fronts:
+        crowding_distance(front)
+    assert [(i.rank, repr(i.crowding)) for i in got] == [
+        (i.rank, repr(i.crowding)) for i in expected
+    ]
+
+
+class TestCopyHeavyPools:
+    """Sorting and crowding work per distinct point; pools full of copies,
+    as elitism makes them, must still match the reference member by
+    member."""
+
+    def test_elitist_shaped_pools(self):
+        rng = random.Random(2003)
+        for _ in range(60):
+            size = rng.randint(50, 400)
+            span = rng.choice([5, 40, 1000])
+            points = [
+                (rng.randint(0, span), rng.randint(0, span) * 0.1)
+                for _ in range(rng.randint(3, 30))
+            ]
+            # a few points hold most members, as in a merged elitist pool
+            weights = [rng.random() ** 3 for _ in points]
+            layout = rng.choices(range(len(points)), weights, k=size)
+            assert_ranked_as_reference(*copies_of(points, layout))
+
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True),
+        st.lists(st.integers(0, 40), min_size=6, max_size=6, unique=True),
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)), max_size=4),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=60),
+    )
+    def test_any_layout_of_copies(self, flowtimes, energies, others, picks):
+        # a front of up to six points and a few more anywhere; a pick names
+        # a point for a new member, or an earlier member to list again
+        front = zip(sorted(flowtimes), sorted(energies, reverse=True))
+        points = [(ft, en * 0.1) for ft, en in [*front, *others]]
+        layout = []
+        for again, k in picks:
+            layout.append(~(k % len(layout)) if again and layout else k % len(points))
+        assert_ranked_as_reference(*copies_of(points, layout))
+
+    @pytest.mark.parametrize("dominated", [False, True], ids=["one-front", "two-fronts"])
+    def test_copy_groups_at_each_place_in_a_front(self, dominated):
+        # one front of five points with fractional energies, plus a point
+        # it dominates; each place of the front holds 1, 2, 3 or 4 copies
+        points = [(1, 9.3), (2, 7.1), (4, 4.4), (6, 2.9), (9, 0.7), (10, 9.9)]
+        rng = random.Random(42)
+        for counts in itertools.product([1, 2, 3, 4], repeat=3):
+            first, inside, last = counts
+            layout = [0] * first + [2] * inside + [4] * last + [1, 3]
+            layout += [5] * (2 if dominated else 0)
+            rng.shuffle(layout)
+            assert_ranked_as_reference(*copies_of(points, layout))
+
+    def test_front_of_one_point(self):
+        got, expected = copies_of([(3, 2.5), (4, 7.0)], [0, 0, 0, 0, 0, 1, 1, 1])
+        assert_ranked_as_reference(got, expected)
+        assert [i.crowding for i in got[:5]] == [math.inf, 0.0, 0.0, 0.0, math.inf]
+        assert [i.crowding for i in got[5:]] == [math.inf, 0.0, math.inf]
+
+    def test_one_member_listed_twice(self):
+        # the same object at an end, inside and across a group, and in a
+        # dominated front
+        points = [(1, 5.5), (2, 3.3), (3, 2.2), (5, 1.1), (6, 6.6)]
+        for layout in (
+            [0, 1, 2, 3, ~1, 4],
+            [1, 1, 0, ~0, 2, 3, ~0, 4, ~7],
+            [2, 1, 2, ~0, 3, 0, ~2, ~5],
+            [4, 4, ~0, 3, 1],
+        ):
+            assert_ranked_as_reference(*copies_of(points, layout))
+
+    @pytest.mark.parametrize("layout", [[], [0], [0, 0], [0, 1], [1, 0], [0, ~0]])
+    def test_pools_of_at_most_two(self, layout):
+        got, expected = copies_of([(1, 2.5), (2, 0.5)], layout)
+        assert_ranked_as_reference(got, expected)
+        assert all(i.crowding == math.inf for i in got)
+
+
 class TestCrowdingDistance:
     def test_three_point_front(self):
         front = pop_from([(1, 3), (2, 2), (3, 1)])
@@ -132,6 +251,16 @@ class TestCrowdingDistance:
         assert front[0].crowding == math.inf
         assert front[1].crowding == 4.0
         assert front[2].crowding == math.inf
+
+    @pytest.mark.parametrize("points", [
+        [(1, 3), (2, 2), (3, 3)],  # a later point dominated
+        [(1, 3), (1, 4), (2, 1)],  # equal flowtime, higher energy
+        [(2, 2), (2, 2), (1, 1)],  # a copied point dominated
+    ])
+    def test_refuses_more_than_one_front(self, points):
+        front = pop_from(points)
+        with pytest.raises(ValueError, match="one front"):
+            crowding_distance(front)
 
     def test_singleton_and_pair_are_boundary(self):
         for points in ([(5, 5)], [(1, 2), (2, 1)]):
