@@ -8,12 +8,13 @@ position and `move` an int that names it among the incumbent's moves (a
 swap of i and j is one move whichever comes first), and `neighbour(perm,
 move)` builds it.  The descent keeps a single incumbent, recenters on it
 whenever some neighbour strictly dominates it, and stops once all three
-operators fail in a row or the iteration budget runs out.  A neighbour is
-priced, unchecked, from the incumbent's recurrence state at `k`; the
-descent keeps those states in a private list, built at the first neighbour
-missing from the store.  A neighbour that the incumbent weakly dominates is
-dropped once priced, and a memo of each incumbent's moves lets descents
-from one start skip the moves an earlier one resolved (see `vnd_explore`).
+operators fail in a row or the iteration budget runs out.  A memo of what
+each incumbent's moves gave is the descent's only cache: a move proposed
+again is neither built nor priced again, and descents from one start can
+share one memo (see `vnd_explore`).  A neighbour is priced, unchecked, from
+the incumbent's recurrence state at `k`; the descent keeps those states in
+a private list, built at the first memo miss.  A neighbour that the
+incumbent weakly dominates is dropped once priced.
 The walk carries its incumbent and its archive as plain (objectives,
 permutation) pairs; `Individual`s are built only for the passes that rank
 their pool and for the result.
@@ -152,7 +153,6 @@ def vnd_explore(
     max_iters: int,
     draws: Draws,
     kappa: float = DEFAULT_KAPPA,
-    priced: dict[tuple[int, ...], Objectives] | None = None,
     memo: dict[tuple[int, ...], dict] | None = None,
 ) -> tuple[Individual, list[Individual]]:
     """Descend from `start` and harvest the walk's trade-off discoveries.
@@ -171,7 +171,7 @@ def vnd_explore(
     so it is left out of the pool.  Ranking draws no random numbers.
     `start.perm` is checked once, before any draw; neighbours are priced by
     the unchecked `evaluate` above from the incumbent's states, built at
-    the first store miss and rebuilt at each recentre from the pick's `k`.
+    the first memo miss and rebuilt at each recentre from the pick's `k`.
 
     A neighbour that the incumbent weakly dominates is dropped as soon as
     its price is known: it joins no pool and no archive scan.  No walk
@@ -182,16 +182,15 @@ def vnd_explore(
     dominates it, so it is not rank 1: the rank-1 members, their order,
     their crowding and the pick stay the same.
 
-    `priced`, when given, maps permutations to their objectives: a
-    neighbour found there is not evaluated, and every other neighbour's
-    objectives are added to it.  Descents from one start can share it, so a
-    neighbour is priced once however many of them propose it.  `memo`,
-    when given, maps each incumbent to what its moves gave: `move ->
+    `memo` maps each incumbent to what its moves gave: `move ->
     (objectives, neighbour)`, or `()` for a dropped neighbour.  A move
-    found there is neither built nor looked up in `priced`; every other
-    move is added to it.  The walk is the same with or without either: a
-    price is a pure function of the permutation, a move's neighbour is a
-    function of the incumbent, and each lookup sits after the draws.
+    found there is neither built nor priced; every other move is added to
+    it.  Given none, the descent fills a fresh one, so a move it proposes
+    twice from one incumbent is priced once; descents from one start can
+    share one, so a move is priced once however many of them propose it.
+    The walk is the same with any memo: a price is a pure function of the
+    permutation, a move's neighbour is a function of the incumbent, and
+    each lookup sits after the draws.
 
     Returns the final incumbent (a new `Individual` equal to `start` or
     dominating it) plus, in discovery order, the mutually non-dominated set
@@ -203,32 +202,28 @@ def vnd_explore(
     check_permutation(start.perm, instance.n_jobs)
     best_perm, best_obj = start.perm, start.obj
     archive = [(best_obj, best_perm)]  # (objectives, permutation) pairs
-    states = None  # the incumbent's, built at its first store miss
-    moves = None if memo is None else memo.setdefault(best_perm, {})
+    if memo is None:
+        memo = {}
+    states = None  # the incumbent's, built at its first memo miss
+    moves = memo.setdefault(best_perm, {})
     a = failures = 0
     for _ in range(max_iters - 1):
         bft, ben = best_obj
         improves = False
         pool = []
         for k, move in NEIGHBORHOOD_OPS[a](best_perm, draws):
-            known = None if moves is None else moves.get(move)
+            known = moves.get(move)
             if known is None:
+                if states is None:
+                    states = [((0,) * instance.n_machines, 0)]
+                    _schedule(instance, best_perm, 0, states)
                 perm = neighbour(best_perm, move)
-                obj = None if priced is None else priced.get(perm)
-                if obj is None:
-                    if states is None:
-                        states = [((0,) * instance.n_machines, 0)]
-                        _schedule(instance, best_perm, 0, states)
-                    obj = evaluate(instance, perm, kappa, k, states)
-                    if priced is not None:
-                        priced[perm] = obj
+                obj = evaluate(instance, perm, kappa, k, states)
                 ft, en = obj
                 if ft >= bft and en >= ben:  # the incumbent weakly dominates it
-                    if moves is not None:
-                        moves[move] = ()
+                    moves[move] = ()
                     continue
-                if moves is not None:
-                    moves[move] = (obj, perm)
+                moves[move] = (obj, perm)
             elif known:
                 obj, perm = known
                 ft, en = obj
@@ -252,8 +247,7 @@ def vnd_explore(
                 best_perm, best_obj = pick.perm, pick.obj
                 if states is not None:
                     _schedule(instance, best_perm, pool[ranked.index(pick)][2], states)
-                if memo is not None:
-                    moves = memo.setdefault(best_perm, {})
+                moves = memo.setdefault(best_perm, {})
                 failures = 0
                 continue
         a = (a + 1) % 3

@@ -25,13 +25,13 @@ Elitist selection fills the population with copies of a few front
 members, so a generation proposes the same permutations many times (about
 four in five evaluations of a default `table3` solve would repeat one).
 Each is priced once: offspring equal to a population member or an earlier
-sibling take its objectives, and descents from a start that has begun
-more than one descent in each of two consecutive generations share one
-store, kept for as long as that start keeps repeating.  The store holds
-the neighbours its descents priced and a memo of what each incumbent's
-moves gave: the neighbour and its objectives, or "dropped" when the
-incumbent weakly dominates it (see `localsearch.vnd_explore`).  A repeated
-(incumbent, move) pair then costs one int lookup.
+sibling take its objectives.  Each descent keeps a memo of what each
+incumbent's moves gave: the neighbour and its objectives, or "dropped"
+when the incumbent weakly dominates it (see `localsearch.vnd_explore`).
+Descents from a start that has begun more than one descent in each of two
+consecutive generations share one memo, kept for as long as that start
+keeps repeating.  A repeated (incumbent, move) pair then costs one int
+lookup.
 No front changes: `evaluate` is a pure function of the permutation for a
 fixed instance and `kappa`, `Objectives` is immutable, and every lookup
 comes after the random draws it could have affected.
@@ -217,8 +217,8 @@ def _apply_local_search(
     instance: Instance,
     draws: Draws,
     kappa: float,
-    stores: dict[tuple[int, ...], tuple[dict, dict] | None],
-) -> dict[tuple[int, ...], tuple[dict, dict] | None]:
+    stores: dict[tuple[int, ...], dict | None],
+) -> dict[tuple[int, ...], dict | None]:
     """Run up to `LS_FRONT_CAP` descents, rank-1 members first (largest
     crowding first within each front), spilling into deeper fronts while
     budget remains.  Each strict improvement replaces its start in the
@@ -229,18 +229,16 @@ def _apply_local_search(
     neighbourhoods are exhausted.
 
     `stores` maps each start that began more than one descent in the
-    previous round to the store its descents filled there, or to None if
-    that was its first such round.  A store is a pair: the neighbour
-    objectives they priced (`vnd_explore(priced=)`) and the memo of what
-    each incumbent's moves gave, dropped or kept (`vnd_explore(memo=)`).
-    A start that repeats again keeps its store, or gets a new one, so its
-    descents share what they price and resolve, and a move an earlier
-    descent resolved from the same incumbent is neither built nor priced
-    again; the mapping for the next round is returned.  A start's first
-    repeated round is not stored: on `table3` almost every hit comes from
-    a start that keeps returning, while at 50 jobs starts rarely return
-    and a new start's neighbours are almost never proposed twice, so a
-    store there would only cost.
+    previous round to the memo its descents filled there (what each
+    incumbent's moves gave, dropped or kept: `vnd_explore(memo=)`), or to
+    None if that was its first such round.  A start that repeats again
+    keeps its memo, or gets a new one, so a move an earlier descent
+    resolved from the same incumbent is neither built nor priced again;
+    every other descent fills a memo of its own.  The mapping for the next
+    round is returned.  A start's first repeated round is not stored: on
+    `table3` almost every hit comes from a start that keeps returning,
+    while at 50 jobs starts rarely return and a new start's neighbours are
+    almost never proposed twice, so a store there would only cost.
     """
     candidates: list[Individual] = []
     for front in fronts:
@@ -248,16 +246,15 @@ def _apply_local_search(
         if room <= 0:
             break
         candidates.extend(sorted(front, key=lambda ind: -ind.crowding)[:room])
-    kept: dict[tuple[int, ...], tuple[dict, dict] | None] = {}
+    kept: dict[tuple[int, ...], dict | None] = {}
     for perm, count in Counter(ind.perm for ind in candidates).items():
         if count > 1:
-            kept[perm] = None if perm not in stores else stores[perm] or ({}, {})
+            kept[perm] = None if perm not in stores else stores[perm] or {}
     slot = {id(ind): k for k, ind in enumerate(pool)}
     harvested: list[Individual] = []
     for ind in candidates:
-        priced, memo = kept.get(ind.perm) or (None, None)
         improved, discoveries = vnd_explore(
-            ind, instance, LS_MAX_ITERS, draws, kappa, priced=priced, memo=memo
+            ind, instance, LS_MAX_ITERS, draws, kappa, memo=kept.get(ind.perm)
         )
         if dominates(improved.obj, ind.obj):
             pool[slot[id(ind)]] = improved
@@ -284,7 +281,7 @@ def generations(
     pop = init_population(instance, config)
     rank_population(pop)
     yield 0, pop, pop
-    stores: dict[tuple[int, ...], tuple[dict, dict] | None] = {}  # see _apply_local_search
+    stores: dict[tuple[int, ...], dict | None] = {}  # see _apply_local_search
     for gen in range(1, config.generations + 1):
         var_draws = Draws(config.seed, STREAM_VARIATION, gen)
         offspring = _make_offspring(instance, pop, config, var_draws)

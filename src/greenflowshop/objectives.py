@@ -79,9 +79,10 @@ def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectiv
     Standby on machine j is its last completion minus its processing
     minutes; machine 1 never waits, so its power is never charged.  The
     power-minutes are summed over machines 2..m from 0.0 and scaled by
-    `kappa` once.  Any other base than an `Instance` raises TypeError: only
-    the descent resumes from a state, in `localsearch.evaluate`, unchecked
-    and safe by construction.
+    `kappa` once.  `instance` must be an `Instance` (anything else raises
+    TypeError) and `perm` is checked against it; only the descent prices
+    from a mid-schedule state, in `localsearch.evaluate`, unchecked and
+    safe by construction.
     """
     if type(instance) is not Instance:
         raise TypeError(f"evaluate prices on an Instance, got {type(instance).__name__}")

@@ -230,59 +230,58 @@ class TestVnd:
             assert all(ind is not start and ind is not best for ind in archive)
 
     def test_prefix_built_only_at_a_store_miss(self, monkeypatch):
-        # a walk whose every neighbour is already in the store prices
+        # a walk whose every move is already in the memo builds and prices
         # nothing and builds no states, and walks as it does with an empty
-        # store; a store another walk filled in part answers some passes
+        # memo; a memo another walk filled in part answers some passes
         # and recentres before any states are built, and changes no walk
         rng_py = random.Random(12)
         inst = random_instance(rng_py, 5, 3)
         perm = tuple(rng_py.sample(range(5), 5))
         start = Individual(perm, evaluate(inst, perm))
         shared = {}
-        for seed in range(12):  # seeds 5, 6 and 9 recentre before a miss, then miss
+        for seed in range(12):  # seeds 6 and 11 recentre before a miss, then miss
             walks = []
-            for store in ({}, shared):
-                got = vnd_explore(start, inst, 15, Draws(seed),
-                                  priced=store)
+            for memo in ({}, shared):
+                got = vnd_explore(start, inst, 15, Draws(seed), memo=memo)
                 walks.append((got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]))
             assert walks[0] == walks[1]
         assert dominates(walks[0][1], start.obj)  # the walk recentres
         calls = []
-        for name in ("evaluate", "_schedule"):
+        for name in ("neighbour", "evaluate", "_schedule"):
             monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
-        got = vnd_explore(start, inst, 15, Draws(seed), priced=shared)
+        got = vnd_explore(start, inst, 15, Draws(seed), memo=shared)
         assert calls == []
         assert (got[0].perm, got[0].obj, [(i.perm, i.obj) for i in got[1]]) == walks[0]
 
     def test_warm_memo_builds_and_prices_nothing(self, monkeypatch):
-        # descents from one start that share a store resolve each
-        # (incumbent, move) pair once; replayed over the warm store they
+        # descents from one start that share a memo resolve each
+        # (incumbent, move) pair once; replayed over the warm memo they
         # build no neighbour, price none and build no states, and walk,
         # harvest and leave their draws as the cold runs did, which walk
-        # as descents without a store do
+        # as descents given no memo do
         rng_py = random.Random(14)
         inst = random_instance(rng_py, 6, 3)
         perm = tuple(rng_py.sample(range(6), 6))
         start = Individual(perm, evaluate(inst, perm))
 
-        def walks(**store):
+        def walks(**memo):
             out = []
             for seed in range(10):
                 draws = Draws(seed)
-                best, archive = vnd_explore(start, inst, 15, draws, **store)
+                best, archive = vnd_explore(start, inst, 15, draws, **memo)
                 out.append((best.perm, best.obj, [(i.perm, i.obj) for i in archive],
                             [draws.integers(2**32) for _ in range(3)]))
             return out
 
-        priced, memo = {}, {}
-        cold = walks(priced=priced, memo=memo)
+        memo = {}
+        cold = walks(memo=memo)
         assert cold == walks()
         assert len(memo) > 1  # the walks recentre
         assert any(entry == () for moves in memo.values() for entry in moves.values())
         calls = []
         for name in ("neighbour", "evaluate", "_schedule"):
             monkeypatch.setattr(localsearch, name, lambda *a, name=name: calls.append(name))
-        assert walks(priced=priced, memo=memo) == cold
+        assert walks(memo=memo) == cold
         assert calls == []
 
     @pytest.mark.parametrize("perm, message", [
@@ -291,13 +290,14 @@ class TestVnd:
     @pytest.mark.parametrize("store", [None, "full"])
     def test_start_not_a_permutation_is_refused_before_any_draw(self, perm, message, store):
         # the states of a non-permutation would misprice every neighbour;
-        # the check runs even when the store answers every neighbour
-        priced = None if store is None else dict.fromkeys(
-            itertools.permutations(perm), evaluate(TOY, (0, 1)))
+        # the check runs even when the memo resolves every move of the start
+        # (a move's code is below (n + 1)**2, so its number below 3 * that)
+        memo = None if store is None else {
+            perm: dict.fromkeys(range(3 * (len(perm) + 1) ** 2), ())}
         draws = Draws(13)
         with pytest.raises(ValueError, match=message):
             vnd_explore(Individual(perm, evaluate(TOY, (0, 1))), TOY, 15, draws,
-                        priced=priced)
+                        memo=memo)
         fresh = Draws(13)
         assert [draws.integers(2**31) for _ in range(4)] == [
             fresh.integers(2**31) for _ in range(4)]
@@ -330,31 +330,24 @@ def descent_cases(draw):
 
 
 def _same_descent(instance, perm, max_iters, seed):
-    """Without a store, twice with one shared store and its memo (the second
-    run resolves every move from the memo), and once more with the store
-    alone (which answers every neighbour), the descent walks as the
-    reference does, and leaves its draws on the half-word where the
-    reference's numpy draws left theirs.  Every stored entry is the
-    permutation's true objectives; every memo entry of an incumbent's move
-    holds the move's neighbour and its true objectives, or is dropped
-    exactly when the incumbent's true objectives weakly dominate them."""
+    """Given no memo, and twice with one shared memo (the second run
+    resolves every move from it), the descent walks as the reference does,
+    and leaves its draws on the half-word where the reference's numpy
+    draws left theirs.  Every memo entry of an incumbent's move holds the
+    move's neighbour and its true objectives, or is dropped exactly when
+    the incumbent's true objectives weakly dominate them."""
     start = Individual(perm, evaluate(instance, perm))
     ref_rng = np.random.default_rng(seed)
     ref_best, ref_archive = reference_vnd_explore(start, instance, max_iters, ref_rng)
     ref_state = ref_rng.bit_generator.state
-    priced, memo = {}, {}
-    for store in ({}, {"priced": priced, "memo": memo}, {"priced": priced, "memo": memo},
-                  {"priced": priced}):
+    memo = {}
+    for store in ({}, {"memo": memo}, {"memo": memo}):
         draws = Draws(seed)
         best, archive = vnd_explore(start, instance, max_iters, draws, **store)
         assert (best.perm, best.obj) == (ref_best.perm, ref_best.obj)
         assert [(i.perm, i.obj) for i in archive] == [(i.perm, i.obj) for i in ref_archive]
         ref_rng.bit_generator.state = ref_state
         assert_same_position(draws, ref_rng)
-    for p, obj in priced.items():
-        oracle = simulate_oracle(instance, p)
-        assert obj == evaluate(instance, p)
-        assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
     for incumbent, moves in memo.items():
         held = simulate_oracle(instance, incumbent)
         for move, entry in moves.items():
@@ -365,6 +358,7 @@ def _same_descent(instance, perm, max_iters, seed):
             if entry:
                 obj, got = entry
                 assert got == other
+                assert obj == evaluate(instance, other)
                 assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
 
 
@@ -372,7 +366,7 @@ class TestAgainstReference:
     """The descent must walk exactly as the always-rank, full-evaluation
     reference in `support` does with numpy's own draws: same incumbent,
     same archive in the same order, and the generator left in the same
-    state, with or without a shared store of priced neighbours."""
+    state, with or without a shared memo of resolved moves."""
 
     @given(descent_cases())
     @example((Instance.from_matrix([[4]], [800]), (0,), 15, 0))
@@ -387,20 +381,44 @@ class TestAgainstReference:
         _same_descent(*case)
 
     def test_store_prices_each_neighbour_once(self, monkeypatch):
-        # at three jobs a descent proposes the same neighbour many times;
-        # with a store, only a permutation's first proposal is evaluated
-        calls, price = [], localsearch.evaluate
-        monkeypatch.setattr(localsearch, "evaluate",
-                            lambda inst, p, *a: calls.append(p) or price(inst, p, *a))
+        # at three jobs descents from one start propose the same moves of
+        # the same incumbents; with a shared memo, only an (incumbent, move)
+        # pair's first proposal is evaluated, and each one it prices is kept
+        calls = _priced_moves(monkeypatch)
         inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
         start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
         for seed in range(3):
             vnd_explore(start, inst, 15, Draws(seed))
         unshared, calls[:] = len(calls), []
-        priced = {}
+        memo = {}
         for seed in range(3):
-            vnd_explore(start, inst, 15, Draws(seed), priced=priced)
-        assert len(calls) == len(set(calls)) == len(priced) < unshared
+            vnd_explore(start, inst, 15, Draws(seed), memo=memo)
+        resolved = [(incumbent, move) for incumbent, moves in memo.items() for move in moves]
+        assert len(calls) == len(set(calls)) == len(resolved) < unshared
+        assert set(calls) == set(resolved)
+
+    def test_one_descent_prices_each_move_once(self, monkeypatch):
+        # at three jobs one pass can propose a move twice; a descent given
+        # no memo still prices each (incumbent, move) pair it proposes once
+        proposed, ops = [], localsearch.NEIGHBORHOOD_OPS
+
+        def recorded(op):
+            def propose(perm, draws):
+                out = op(perm, draws)
+                proposed.extend((perm, move) for _, move in out)
+                return out
+            return propose
+
+        monkeypatch.setattr(localsearch, "NEIGHBORHOOD_OPS", tuple(map(recorded, ops)))
+        calls = _priced_moves(monkeypatch)
+        inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
+        start = Individual((0, 1, 2), evaluate(inst, (0, 1, 2)))
+        for seed in range(3):
+            proposed.clear()
+            calls.clear()
+            vnd_explore(start, inst, 15, Draws(seed))
+            assert len(set(proposed)) < len(proposed)
+            assert len(calls) == len(set(calls)) == len(set(proposed))
 
     def test_matches_reference_on_random_shops(self):
         rng = random.Random(31)
@@ -409,6 +427,25 @@ class TestAgainstReference:
             times = [[rng.choice((0, rng.randint(1, 30))) for _ in range(m)] for _ in range(n)]
             inst = Instance.from_matrix(times, [rng.randint(700, 1500) for _ in range(m)])
             _same_descent(inst, tuple(rng.sample(range(n), n)), case % 16, case)
+
+
+def _priced_moves(monkeypatch):
+    """Patch the descent so that each neighbour it prices appends its
+    (incumbent, move) pair to the returned list."""
+    calls, built, build, price = [], [], localsearch.neighbour, localsearch.evaluate
+
+    def counted_neighbour(perm, move):
+        built.append((perm, move))
+        return build(perm, move)
+
+    def counted_evaluate(instance, perm, *args):
+        assert build(*built[-1]) == perm
+        calls.append(built[-1])
+        return price(instance, perm, *args)
+
+    monkeypatch.setattr(localsearch, "neighbour", counted_neighbour)
+    monkeypatch.setattr(localsearch, "evaluate", counted_evaluate)
+    return calls
 
 
 def _crowded_pick(pool):

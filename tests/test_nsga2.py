@@ -512,15 +512,16 @@ class TestPricedOnce:
     """Offspring equal to a population member or an earlier sibling reuse
     its objectives, so a permutation reaches `evaluate` once among one
     generation's offspring.  Descents from a start that began more than one
-    descent in the previous generation too share the neighbours they
-    priced, also with that generation's descents from the start, and each
-    such store keeps one memo of resolved moves for as long as it lives."""
+    descent in the previous generation too share one memo of the moves
+    they resolved, also with that generation's descents from the start,
+    and the start keeps that memo for as long as it keeps repeating."""
 
     def test_no_repeat_reaches_evaluate(self, table3, monkeypatch):
         gens = []  # one record per generation
         starts = []  # the start of the descent under way
-        memos = {}  # id(priced) -> (priced, memo), holding both alive
-        explore = nsga2.vnd_explore
+        memos = {}  # id(memo) -> memo, holding each store alive
+        built = []  # the (incumbent, move) pair of each neighbour built
+        explore, build = nsga2.vnd_explore, localsearch.neighbour
         offspring_eval, descent_eval = nsga2.evaluate, localsearch.evaluate
 
         def counted_offspring_eval(instance, perm, *args):
@@ -528,24 +529,29 @@ class TestPricedOnce:
                 gens[-1].offspring.append(perm)
             return offspring_eval(instance, perm, *args)
 
-        def counted_explore(start, *args, priced=None, memo=None):
+        def counted_explore(start, *args, memo=None):
             gens[-1].descents[start.perm] += 1
-            gens[-1].stored[start.perm].add(priced is not None)
-            assert (memo is None) == (priced is None)
-            if priced is not None:
-                assert memos.setdefault(id(priced), (priced, memo))[1] is memo
+            gens[-1].stored[start.perm].add(None if memo is None else id(memo))
+            if memo is not None:
+                memos[id(memo)] = memo
             starts.append(start.perm)
             try:
-                return explore(start, *args, priced=priced, memo=memo)
+                return explore(start, *args, memo=memo)
             finally:
                 starts.pop()
 
+        def counted_neighbour(perm, move):
+            built.append((perm, move))
+            return build(perm, move)
+
         def counted_descent_eval(instance, perm, *args):
-            gens[-1].priced[starts[-1]].append(perm)
+            assert build(*built[-1]) == perm
+            gens[-1].priced[starts[-1]].append(built[-1])
             return descent_eval(instance, perm, *args)
 
         monkeypatch.setattr(nsga2, "evaluate", counted_offspring_eval)
         monkeypatch.setattr(nsga2, "vnd_explore", counted_explore)
+        monkeypatch.setattr(localsearch, "neighbour", counted_neighbour)
         monkeypatch.setattr(localsearch, "evaluate", counted_descent_eval)
         config = RunConfig(pop_size=20, generations=10, seed=7)
         for gen, _, pop in generations(table3, config):
@@ -557,22 +563,29 @@ class TestPricedOnce:
 
         assert len(gens) == 10
         stored_starts = carried = 0
-        previous_repeated, previous = set(), {}
+        previous_repeated, previous, seen = set(), {}, set()
         for gen in gens:
             assert not gen.pop.intersection(gen.offspring)
             assert len(set(gen.offspring)) == len(gen.offspring)
             repeated = {perm for perm, count in gen.descents.items() if count > 1}
-            # a store from a start's second consecutive repeated generation on
+            # a store from a start's second consecutive repeated generation on,
+            # one memo shared by all of that generation's descents from it
             returning = repeated & previous_repeated
             for perm, stored in gen.stored.items():
-                assert stored == {perm in returning}
+                assert len(stored) == 1 and (None not in stored) == (perm in returning)
             for perm in returning:
-                priced = gen.priced[perm]
-                assert len(set(priced)) == len(priced)
-                assert not previous.get(perm, set()).intersection(priced)
-                carried += perm in previous
+                (store,) = gen.stored[perm]
+                pairs = gen.priced[perm]
+                assert len(set(pairs)) == len(pairs)
+                if perm in previous:  # the start keeps its memo
+                    assert store == previous[perm][0]
+                    assert not previous[perm][1].intersection(pairs)
+                    carried += 1
+                else:  # a new memo
+                    assert store not in seen
+                seen.add(store)
             stored_starts += len(returning)
             previous_repeated = repeated
-            previous = {perm: set(gen.priced[perm]) for perm in returning}
+            previous = {perm: (*gen.stored[perm], set(gen.priced[perm])) for perm in returning}
         # the run must exercise both sharing within and carrying across generations
         assert stored_starts > 0 and carried > 0

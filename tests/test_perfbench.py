@@ -33,7 +33,7 @@ def test_traced_bindings_count_and_keep_the_front(monkeypatch):
 
 def test_traced_descent_prices_every_store_miss(monkeypatch):
     # perfbench reads `objectives.evaluate.calls.descent` from the wrapped
-    # `localsearch.evaluate`; every neighbour the descent's stores miss must
+    # `localsearch.evaluate`; every move the descent's memo misses must
     # still be priced through it, once
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
@@ -43,7 +43,7 @@ def test_traced_descent_prices_every_store_miss(monkeypatch):
     with tracer.installed():
         worker.CampaignWorkload.instrument(None, tracer)
         evolve(load_table3(), RunConfig(pop_size=8, generations=3, seed=7))
-    assert tracer.stat("objectives.evaluate.descent").calls == 1518
+    assert tracer.stat("objectives.evaluate.descent").calls == 1515
 
 
 def test_traced_bench_counts_one_taillard_parse(monkeypatch, tmp_path):
