@@ -3,24 +3,29 @@ rank-1 solutions.
 
 Three operators cycle in order: position swap and segment reversal propose
 two neighbours per call, job reinsertion proposes ten.  An operator only
-draws: it returns each neighbour as `(k, move)`, with `k` its first changed
-position and `move` an int that names it among the incumbent's moves (a
-swap of i and j is one move whichever comes first), and `neighbour(perm,
-move)` builds it.  The descent keeps a single incumbent, recenters on it
-whenever some neighbour strictly dominates it, and stops once all three
-operators fail in a row or the iteration budget runs out.  A memo of what
-each incumbent's moves gave is the descent's only cache: a move proposed
-again is neither built nor priced again, and descents from one start can
-share one memo (see `vnd_explore`).  A neighbour is priced, unchecked, from
-the incumbent's recurrence state at `k`; the descent keeps those states in
-a private list, built at the first memo miss.  A neighbour that the
-incumbent weakly dominates is dropped once priced.
+draws: it returns each neighbour as a move, an int that names it among the
+incumbent's moves (a swap of i and j is one move whichever comes first),
+and `neighbour(perm, move)` decodes it into `(k, neighbour)`, with `k` the
+neighbour's first changed position.  The descent keeps a single incumbent,
+recenters on it whenever some neighbour strictly dominates it, and stops
+once all three operators fail in a row or the iteration budget runs out.
+A memo of what each incumbent's moves gave is the descent's only cache: a
+move proposed again is neither decoded nor priced again, and descents from
+one start can share one memo (see `vnd_explore`).  A neighbour is priced,
+unchecked, from the incumbent's recurrence state at `k` by the kernel bound
+once to the shop's rows; the descent keeps those states in a private list,
+built with that binding at the first memo miss.  A price is a plain
+(flowtime, energy) pair.  A neighbour that the incumbent weakly dominates is
+dropped once priced and gets no `Objectives`; a kept one gets one, shared
+by the memo, the pool and the archive.
 The walk carries its incumbent and its archive as plain (objectives,
 permutation) pairs; `Individual`s are built only for the passes that rank
 their pool and for the result.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .instance import Instance, check_permutation
 from .objectives import DEFAULT_KAPPA, Objectives, _kernel
@@ -69,82 +74,96 @@ def _distinct_pair(draws: Draws, n: int) -> tuple[int, int]:
     return i, j
 
 
-def op_swap(perm, draws: Draws) -> tuple[tuple[int, int], ...]:
-    """Two independent random position swaps of `perm`."""
+def op_swap(perm, draws: Draws) -> tuple[int, int]:
+    """The moves of two independent random position swaps of `perm`."""
     n = len(perm)
     if n < 2:
-        return ((n, 0),) * 2
+        return 0, 0
     i1, j1 = _distinct_pair(draws, n)
     i2, j2 = _distinct_pair(draws, n)
     if i1 > j1:
         i1, j1 = j1, i1
     if i2 > j2:
         i2, j2 = j2, i2
-    return (i1, 3 * (i1 * n + j1)), (i2, 3 * (i2 * n + j2))
+    return 3 * (i1 * n + j1), 3 * (i2 * n + j2)
 
 
-def op_reversion(perm, draws: Draws) -> tuple[tuple[int, int], ...]:
-    """Two independent random segment reversals (segments of length >= 2)."""
+def op_reversion(perm, draws: Draws) -> tuple[int, int]:
+    """The moves of two independent random segment reversals (segments of
+    length >= 2)."""
     n = len(perm)
     if n < 2:
-        return ((n, 0),) * 2
+        return 0, 0
     i1 = draws.integers(n - 1)
-    first = (i1, 3 * (i1 * (n + 1) + draws.integers(i1 + 2, n + 1)) + 1)
+    first = 3 * (i1 * (n + 1) + draws.integers(i1 + 2, n + 1)) + 1
     i2 = draws.integers(n - 1)
-    return first, (i2, 3 * (i2 * (n + 1) + draws.integers(i2 + 2, n + 1)) + 1)
+    return first, 3 * (i2 * (n + 1) + draws.integers(i2 + 2, n + 1)) + 1
 
 
-def op_neighborhood(perm, draws: Draws) -> tuple[tuple[int, int], ...]:
-    """Ten reinsertion neighbours; (source, destination) pairs are distinct
-    whenever the permutation admits ten distinct moves."""
+def op_neighborhood(perm, draws: Draws) -> list[int]:
+    """The moves of ten reinsertion neighbours; (source, destination) pairs
+    are distinct whenever the permutation admits ten distinct moves."""
     n = len(perm)
     if n < 2:
-        return ((n, 0),) * 10
+        return [0] * 10
     total_moves = n * (n - 1)
     if total_moves >= 10:
         picks = draws.choice(total_moves, 10)
     else:
         # the ten draws of numpy's `integers(total_moves, size=10)`
         picks = [draws.integers(total_moves) for _ in range(10)]
-    d = n - 1  # a code is src * d + offset; the move changes nothing before min(src, offset)
-    return tuple([(src if (src := code // d) <= (offset := code - src * d) else offset,
-                   3 * code + 2) for code in picks])
+    return [3 * code + 2 for code in picks]
 
 
-def neighbour(perm, move: int) -> tuple[int, ...]:
-    """The neighbour of `perm` that an operator's `move` names: `3 * code +
-    op`, where a swap's code is `i * n + j` (i < j), a reversal's
-    `start * (n + 1) + stop` and a reinsertion's its draw `src * (n - 1) +
-    offset`.  Move 0 of a one-job `perm` is `perm` itself."""
+def neighbour(perm, move: int) -> tuple[int, tuple[int, ...]]:
+    """`(k, neighbour)`: the neighbour of `perm` that an operator's `move`
+    names, and `k`, the first position where it leaves `perm`.  A move is
+    `3 * code + op`, where a swap's code is `i * n + j` (i < j), a
+    reversal's `start * (n + 1) + stop` and a reinsertion's its draw
+    `src * (n - 1) + offset`.  Move 0 of a one-job `perm` is `perm` itself,
+    with `k = 1`: there is nothing after the shared prefix to price."""
     code, op, n = move // 3, move % 3, len(perm)
     if op == 2:
         src, offset = code // (n - 1), code % (n - 1)
-        return insert_job(perm, src, offset + (offset >= src))
+        if offset < src:
+            return offset, insert_job(perm, src, offset)
+        return src, insert_job(perm, src, offset + 1)
     if op == 1:
-        return reverse_window(perm, code // (n + 1), code % (n + 1))
-    return swap_positions(perm, code // n, code % n)
+        start = code // (n + 1)
+        return start, reverse_window(perm, start, code % (n + 1))
+    if n < 2:
+        return n, tuple(perm)
+    i = code // n
+    return i, swap_positions(perm, i, code % n)
 
 
 NEIGHBORHOOD_OPS = (op_swap, op_reversion, op_neighborhood)
 
 
-def _schedule(instance: Instance, perm, start: int, states: list) -> None:
+def _pricer(instance: Instance):
+    """The kernel for `instance`'s machine count with its rows bound:
+    `price(perm, start, state, states=None)`, resolved once per descent."""
+    return functools.partial(_kernel(instance.n_machines), instance.kernel_times,
+                             instance.fixed_power, instance.machine_load)
+
+
+def _schedule(price, perm, start: int, states: list) -> None:
     """Make `states` the recurrence state of `perm` after each of its
     positions: `states[i]` is (each machine's free time, flowtime) once the
     first `i` jobs are scheduled.  `states[:start + 1]` must already hold
-    `perm`'s; the rest is dropped and rebuilt by the kernel."""
+    `perm`'s; the rest is dropped and rebuilt by `price`, a `_pricer`."""
     del states[start + 1:]
-    _kernel(instance.n_machines)(instance.kernel_times, perm, start, states[-1],
-                                 instance.fixed_power, instance.machine_load, states)
+    price(perm, start, states[-1], states)
 
 
-def evaluate(instance: Instance, perm, kappa: float, k: int, states: list) -> Objectives:
-    """The kernel's price of `perm` from `states[k]`, unchecked: `states`
-    are the incumbent's, whose permutation `vnd_explore` checked, and an
-    operator's `(k, perm)` is a permutation agreeing with it before `k`."""
-    flowtime, power_minutes = _kernel(instance.n_machines)(
-        instance.kernel_times, perm, k, states[k], instance.fixed_power, instance.machine_load)
-    return Objectives(flowtime, power_minutes * kappa)
+def evaluate(price, perm, kappa: float, k: int, states: list) -> tuple[int, float]:
+    """`perm`'s (flowtime, energy) as a plain pair, priced by `price`, a
+    `_pricer`, from `states[k]`, unchecked: `states` are the incumbent's,
+    whose permutation `vnd_explore` checked, and a move's `(k, perm)` is a
+    permutation agreeing with it before `k`.  The energy is the kernel's
+    power-minutes times `kappa`, as in `objectives.evaluate`."""
+    flowtime, power_minutes = price(perm, k, states[k])
+    return flowtime, power_minutes * kappa
 
 
 def vnd_explore(
@@ -171,20 +190,21 @@ def vnd_explore(
     so it is left out of the pool.  Ranking draws no random numbers.
     `start.perm` is checked once, before any draw; neighbours are priced by
     the unchecked `evaluate` above from the incumbent's states, built at
-    the first memo miss and rebuilt at each recentre from the pick's `k`.
+    the first memo miss with the kernel bound there (`_pricer`) and rebuilt
+    at each recentre from the pick's `k`.
 
     A neighbour that the incumbent weakly dominates is dropped as soon as
-    its price is known: it joins no pool and no archive scan.  No walk
-    changes.  Such a neighbour cannot improve the incumbent.  The archive
-    always holds a member that weakly dominates the incumbent (the start,
-    then each pick or the member that kept it out), so it would refuse
-    the neighbour.  And in an improving pass the improving neighbour
-    dominates it, so it is not rank 1: the rank-1 members, their order,
-    their crowding and the pick stay the same.
+    its price, a plain pair, is known: it gets no `Objectives` and joins no
+    pool and no archive scan.  No walk changes.  Such a neighbour cannot
+    improve the incumbent.  The archive always holds a member that weakly
+    dominates the incumbent (the start, then each pick or the member that
+    kept it out), so it would refuse the neighbour.  And in an improving
+    pass the improving neighbour dominates it, so it is not rank 1: the
+    rank-1 members, their order, their crowding and the pick stay the same.
 
     `memo` maps each incumbent to what its moves gave: `move ->
-    (objectives, neighbour)`, or `()` for a dropped neighbour.  A move
-    found there is neither built nor priced; every other move is added to
+    (objectives, neighbour, k)`, or `()` for a dropped neighbour.  A move
+    found there is neither decoded nor priced; every other move is added to
     it.  Given none, the descent fills a fresh one, so a move it proposes
     twice from one incumbent is priced once; descents from one start can
     share one, so a move is priced once however many of them propose it.
@@ -204,32 +224,33 @@ def vnd_explore(
     archive = [(best_obj, best_perm)]  # (objectives, permutation) pairs
     if memo is None:
         memo = {}
-    states = None  # the incumbent's, built at its first memo miss
+    states = price = None  # the incumbent's states and the bound kernel, from its first miss
     moves = memo.setdefault(best_perm, {})
     a = failures = 0
     for _ in range(max_iters - 1):
         bft, ben = best_obj
         improves = False
-        pool = []
-        for k, move in NEIGHBORHOOD_OPS[a](best_perm, draws):
-            known = moves.get(move)
-            if known is None:
+        pool = []  # kept memo entries
+        for move in NEIGHBORHOOD_OPS[a](best_perm, draws):
+            kept = moves.get(move)
+            if kept is None:
                 if states is None:
+                    price = _pricer(instance)
                     states = [((0,) * instance.n_machines, 0)]
-                    _schedule(instance, best_perm, 0, states)
-                perm = neighbour(best_perm, move)
-                obj = evaluate(instance, perm, kappa, k, states)
-                ft, en = obj
+                    _schedule(price, best_perm, 0, states)
+                k, perm = neighbour(best_perm, move)
+                ft, en = evaluate(price, perm, kappa, k, states)
                 if ft >= bft and en >= ben:  # the incumbent weakly dominates it
                     moves[move] = ()
                     continue
-                moves[move] = (obj, perm)
-            elif known:
-                obj, perm = known
+                obj = Objectives(ft, en)
+                kept = moves[move] = (obj, perm, k)
+            elif kept:
+                obj, perm, _ = kept
                 ft, en = obj
             else:  # dropped
                 continue
-            pool.append((obj, perm, k))
+            pool.append(kept)
             if ft <= bft and en <= ben:  # not dropped, so it dominates the incumbent
                 improves = True
             # keep the neighbour unless a member weakly dominates it
@@ -246,7 +267,7 @@ def vnd_explore(
             if dominates(pick.obj, best_obj):
                 best_perm, best_obj = pick.perm, pick.obj
                 if states is not None:
-                    _schedule(instance, best_perm, pool[ranked.index(pick)][2], states)
+                    _schedule(price, best_perm, pool[ranked.index(pick)][2], states)
                 moves = memo.setdefault(best_perm, {})
                 failures = 0
                 continue

@@ -26,11 +26,11 @@ members, so a generation proposes the same permutations many times (about
 four in five evaluations of a default `table3` solve would repeat one).
 Each is priced once: offspring equal to a population member or an earlier
 sibling take its objectives.  Each descent keeps a memo of what each
-incumbent's moves gave: the neighbour and its objectives, or "dropped"
-when the incumbent weakly dominates it (see `localsearch.vnd_explore`).
-Descents from a start that has begun more than one descent in each of two
-consecutive generations share one memo, kept for as long as that start
-keeps repeating.  A repeated (incumbent, move) pair then costs one int
+incumbent's moves gave: the neighbour, its objectives and its first
+changed position, or "dropped" when the incumbent weakly dominates it
+(see `localsearch.vnd_explore`).  Descents from a start that has begun
+more than one descent in each of two consecutive generations share one
+memo, kept for as long as that start keeps repeating.  A repeated (incumbent, move) pair then costs one int
 lookup.
 No front changes: `evaluate` is a pure function of the permutation for a
 fixed instance and `kappa`, `Objectives` is immutable, and every lookup

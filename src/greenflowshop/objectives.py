@@ -45,7 +45,7 @@ class Objectives(NamedTuple):
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _kernel(m: int):
-    """`advance(pt, perm, start, state, power, load, states=None)` for `m`
+    """`advance(pt, power, load, perm, start, state, states=None)` for `m`
     machines: schedule `perm[start:]` from `state`, (each machine's free
     time, flowtime) once `perm[:start]` is scheduled, and return the
     flowtime, as an `int`, and the power-minutes, `power[j] * (free time -
@@ -53,15 +53,17 @@ def _kernel(m: int):
     machine 1 as soon as it is free and reaches each later machine when it
     leaves the one before, starting once both it and the machine are there;
     with `states`, the state after each job is appended to it.  `pt` is an
-    `Instance.kernel_times`, whose float rows are exact.  Source made from
-    `m` alone: free times in `f{j}`, job times in `p{j}`."""
+    `Instance.kernel_times`, whose float rows are exact; it comes first with
+    `power` and `load`, so that the descent binds one shop's rows once
+    (`localsearch._pricer`).  Source made from `m` alone: free times in
+    `f{j}`, job times in `p{j}`."""
     if type(m) is not int or m < 1:
         raise ValueError(f"kernel machine count must be a positive int, got {m!r}")
     free, row = (", ".join(f"{v}{j}" for j in range(m)) + "," for v in "fp")
     step = "\n        f{1} = (f{0} if f{1} < f{0} else f{1}) + p{1}"
     energy = "".join(f" + power[{j}] * (f{j} - load[{j}])" for j in range(1, m))
     namespace = {}
-    exec(f"""def advance(pt, perm, start, state, power, load, states=None):
+    exec(f"""def advance(pt, power, load, perm, start, state, states=None):
     ({free}), flowtime = state
     for job in perm[start:]:
         {row} = pt[job]
@@ -88,8 +90,8 @@ def evaluate(instance: Instance, perm, kappa: float = DEFAULT_KAPPA) -> Objectiv
         raise TypeError(f"evaluate prices on an Instance, got {type(instance).__name__}")
     check_permutation(perm, instance.n_jobs)
     flowtime, power_minutes = _kernel(instance.n_machines)(
-        instance.kernel_times, perm, 0, ((0,) * instance.n_machines, 0),
-        instance.fixed_power, instance.machine_load)
+        instance.kernel_times, instance.fixed_power, instance.machine_load,
+        perm, 0, ((0,) * instance.n_machines, 0))
     return Objectives(flowtime, power_minutes * kappa)
 
 

@@ -212,14 +212,14 @@ def test_criterion_8_property_suites():
         applications += 1
     base = tuple(range(9))
     for _ in range(10000):
-        for _, move in op_swap(base, draws):
-            assert is_perm(neighbour(base, move), 9)
-        for _, move in op_reversion(base, draws):
-            assert is_perm(neighbour(base, move), 9)
+        for move in op_swap(base, draws):
+            assert is_perm(neighbour(base, move)[1], 9)
+        for move in op_reversion(base, draws):
+            assert is_perm(neighbour(base, move)[1], 9)
         applications += 4
     for _ in range(1000):
-        for _, move in op_neighborhood(base, draws):
-            assert is_perm(neighbour(base, move), 9)
+        for move in op_neighborhood(base, draws):
+            assert is_perm(neighbour(base, move)[1], 9)
         applications += 10
 
     vnd_checked = 0

@@ -51,7 +51,7 @@ class TestPrimitives:
 
 def _proposed(op, perm, draws):
     """`op`'s neighbours of `perm` as `(k, neighbour)` pairs."""
-    return [(k, neighbour(perm, move)) for k, move in op(perm, draws)]
+    return [neighbour(perm, move) for move in op(perm, draws)]
 
 
 class TestOperators:
@@ -75,10 +75,10 @@ class TestOperators:
 
     def test_single_job_degenerate(self):
         rng = Draws(0)
-        assert op_swap((0,), rng) == ((1, 0), (1, 0))
-        assert op_reversion((0,), rng) == ((1, 0), (1, 0))
-        assert op_neighborhood((0,), rng) == tuple((1, 0) for _ in range(10))
-        assert neighbour((0,), 0) == (0,)
+        assert op_swap((0,), rng) == (0, 0)
+        assert op_reversion((0,), rng) == (0, 0)
+        assert op_neighborhood((0,), rng) == [0] * 10
+        assert neighbour((0,), 0) == (1, (0,))  # k = n: nothing to price
         assert rng.integers(2**31) == Draws(0).integers(2**31)  # nothing was drawn
 
     def test_closure_over_many_applications(self):
@@ -127,18 +127,21 @@ class TestOperators:
         # the memo keys an incumbent's neighbours by move: a swap of i and j
         # is one move whichever comes first, distinct swaps and reversals
         # are distinct moves, the operators' moves never collide, and each
-        # names the same change of every incumbent
+        # names the same change of every incumbent; its `k` is exactly where
+        # that change first leaves the incumbent, checked for every move
         made = {op: {} for op in NEIGHBORHOOD_OPS}  # move -> change of range(n)
         draws, py = Draws(n), random.Random(n)
         base = tuple(range(n))
         for _ in range(400):
             perm = tuple(py.sample(range(n), n))
             for op in NEIGHBORHOOD_OPS:
-                for k, move in op(perm, draws):
-                    change = neighbour(base, move)
+                for move in op(perm, draws):
+                    _, change = neighbour(base, move)
                     assert made[op].setdefault(move, change) == change
-                    assert neighbour(perm, move) == tuple(perm[i] for i in change)
-                    assert neighbour(perm, move)[:k] == perm[:k]
+                    k, other = neighbour(perm, move)
+                    assert other == tuple(perm[i] for i in change)
+                    assert other[:k] == perm[:k]
+                    assert k == next(i for i, (a, b) in enumerate(zip(perm, other)) if a != b)
         swaps = {frozenset(i for i in range(n) if change[i] != i)
                  for change in made[op_swap].values()}
         assert len(swaps) == len(made[op_swap]) == n * (n - 1) // 2
@@ -315,6 +318,35 @@ class TestVnd:
             assert not dominates(a, b) and not dominates(b, a)
         assert any(ind.obj == best.obj for ind in archive)
 
+    @pytest.mark.parametrize("shop", ["three-job", "table3"])
+    def test_objectives_built_only_for_kept_neighbours(self, shop, table3, monkeypatch):
+        # a neighbour is priced as a plain pair; only one the descent keeps
+        # gets an `Objectives`, once, shared by its memo entry, its pool slot
+        # and the archive, so a dropped neighbour or a memo hit builds none,
+        # and every `Individual` the descent returns carries an `Objectives`
+        if shop == "table3":
+            inst = table3
+        else:
+            inst = Instance.from_matrix([[2, 0, 7], [0, 0, 1], [4, 3, 0]], [900, 700, 1400])
+        built = []
+
+        def counted(*args):
+            built.append(Objectives(*args))
+            return built[-1]
+
+        monkeypatch.setattr(localsearch, "Objectives", counted)
+        py, memo = random.Random(inst.n_jobs), {}
+        for seed in range(6):
+            perm = tuple(py.sample(range(inst.n_jobs), inst.n_jobs))
+            start = Individual(perm, evaluate(inst, perm))
+            for _ in range(2):  # the second descent answers from the memo
+                best, archive = vnd_explore(start, inst, 15, Draws(seed), memo=memo)
+                assert all(type(ind.obj) is Objectives for ind in (best, *archive))
+        entries = [entry for moves in memo.values() for entry in moves.values()]
+        kept = [entry[0] for entry in entries if entry]
+        assert len(built) == len(kept) < len(entries)  # some neighbour was dropped
+        assert {id(obj) for obj in built} == {id(obj) for obj in kept}
+
 
 @st.composite
 def descent_cases(draw):
@@ -351,13 +383,14 @@ def _same_descent(instance, perm, max_iters, seed):
     for incumbent, moves in memo.items():
         held = simulate_oracle(instance, incumbent)
         for move, entry in moves.items():
-            other = neighbour(incumbent, move)
+            k, other = neighbour(incumbent, move)
             oracle = simulate_oracle(instance, other)
             covered = held.flowtime <= oracle.flowtime and held.energy <= oracle.energy
             assert (entry == ()) == covered
             if entry:
-                obj, got = entry
-                assert got == other
+                obj, got, at = entry
+                assert (at, got) == (k, other)
+                assert type(obj) is Objectives
                 assert obj == evaluate(instance, other)
                 assert (obj.flowtime, repr(obj.energy)) == (oracle.flowtime, repr(oracle.energy))
 
@@ -405,7 +438,7 @@ class TestAgainstReference:
         def recorded(op):
             def propose(perm, draws):
                 out = op(perm, draws)
-                proposed.extend((perm, move) for _, move in out)
+                proposed.extend((perm, move) for move in out)
                 return out
             return propose
 
@@ -438,10 +471,10 @@ def _priced_moves(monkeypatch):
         built.append((perm, move))
         return build(perm, move)
 
-    def counted_evaluate(instance, perm, *args):
-        assert build(*built[-1]) == perm
+    def counted_evaluate(pricer, perm, *args):
+        assert build(*built[-1])[1] == perm
         calls.append(built[-1])
-        return price(instance, perm, *args)
+        return price(pricer, perm, *args)
 
     monkeypatch.setattr(localsearch, "neighbour", counted_neighbour)
     monkeypatch.setattr(localsearch, "evaluate", counted_evaluate)

@@ -544,10 +544,10 @@ class TestPricedOnce:
             built.append((perm, move))
             return build(perm, move)
 
-        def counted_descent_eval(instance, perm, *args):
-            assert build(*built[-1]) == perm
+        def counted_descent_eval(price, perm, *args):
+            assert build(*built[-1])[1] == perm
             gens[-1].priced[starts[-1]].append(built[-1])
-            return descent_eval(instance, perm, *args)
+            return descent_eval(price, perm, *args)
 
         monkeypatch.setattr(nsga2, "evaluate", counted_offspring_eval)
         monkeypatch.setattr(nsga2, "vnd_explore", counted_explore)

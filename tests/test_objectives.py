@@ -191,25 +191,31 @@ def _built(inst, perm, start=0, states=None):
     from scratch, or resumed at `start` on a copy of `states`, another
     permutation's that agrees with `perm` before `start`."""
     states = [((0,) * inst.n_machines, 0)] if states is None else list(states)
-    localsearch._schedule(inst, perm, start, states)
+    localsearch._schedule(localsearch._pricer(inst), perm, start, states)
     return states
+
+
+def _descent_price(inst, perm, kappa, k, states):
+    """`localsearch.evaluate` with the kernel bound to `inst`, as the
+    descent calls it: a plain (flowtime, energy) pair."""
+    return localsearch.evaluate(localsearch._pricer(inst), perm, kappa, k, states)
 
 
 class TestPrefix:
     """The states of a permutation's prefixes are built and resumed only
     inside the descent, by `localsearch._schedule`; it prices a neighbour
-    from them through `localsearch.evaluate`, which checks nothing, and the
-    public `evaluate` takes them in no form."""
+    from them through `localsearch.evaluate`, which checks nothing and
+    returns a plain pair, and the public `evaluate` takes them in no form."""
 
     @given(neighbour_moves(), st.sampled_from([DEFAULT_KAPPA, 1.0, 0.37]))
     def test_prefix_path_agrees_exactly(self, move, kappa):
         inst, incumbent, neighbour, start = move
         states = _built(inst, incumbent)
-        got = localsearch.evaluate(inst, neighbour, kappa, start, states)
+        flowtime, energy = _descent_price(inst, neighbour, kappa, start, states)
         for expected in (evaluate(inst, neighbour, kappa),
                          simulate_oracle(inst, neighbour, kappa)):
-            assert got.flowtime == expected.flowtime
-            assert repr(got.energy) == repr(expected.energy)
+            assert flowtime == expected.flowtime
+            assert repr(energy) == repr(expected.energy)
         assert _built(inst, neighbour, start, states) == _built(inst, neighbour)
 
     def test_states_follow_the_worked_example(self):
@@ -251,7 +257,7 @@ class TestPrefix:
         states = _built(TOY, (0, 1))
         with pytest.raises(TypeError):  # the old resume form
             evaluate(states, (1, 0), DEFAULT_KAPPA, start)
-        assert localsearch.evaluate(TOY, (1, 0), DEFAULT_KAPPA, 0, states) == (18, 40.0)
+        assert _descent_price(TOY, (1, 0), DEFAULT_KAPPA, 0, states) == (18, 40.0)
         assert evaluate(TOY, (1, 0)) == (18, 40.0)
         assert _built(TOY, (1, 0), 0, states) == _built(TOY, (1, 0))
 
@@ -260,7 +266,7 @@ class TestPrefix:
         # the public price takes none (`other` alone gives (29, 180.0))
         other = Instance.from_matrix([[9, 1], [1, 9]], [600, 1200])
         states = _built(TOY, (0, 1))
-        assert localsearch.evaluate(TOY, (0, 1), DEFAULT_KAPPA, 1, states) == (19, 60.0)
+        assert _descent_price(TOY, (0, 1), DEFAULT_KAPPA, 1, states) == (19, 60.0)
         assert evaluate(TOY, (0, 1)) == (19, 60.0)
         assert evaluate(other, (0, 1)) == (29, 180.0)
         with pytest.raises(TypeError, match="Instance"):
@@ -292,9 +298,10 @@ class TestEveryMachineCount:
 
 
 def _assert_bit_equal(got, expected):
-    assert type(got.flowtime) is int
-    assert got.flowtime == expected.flowtime
-    assert repr(got.energy) == repr(expected.energy)
+    flowtime, energy = got  # an `Objectives` or the descent's plain pair
+    assert type(flowtime) is int
+    assert flowtime == expected.flowtime
+    assert repr(energy) == repr(expected.energy)
 
 
 def _assert_every_path_exact(inst, perm, draws):
@@ -306,13 +313,13 @@ def _assert_every_path_exact(inst, perm, draws):
     states = _built(inst, perm)
     assert states == reference_states(inst, perm)
     for op in NEIGHBORHOOD_OPS:
-        for k, move in op(perm, draws):
-            other = neighbour(perm, move)
+        for move in op(perm, draws):
+            k, other = neighbour(perm, move)
             expected = simulate_oracle(inst, other)
-            got = localsearch.evaluate(inst, other, DEFAULT_KAPPA, k, states)
+            got = _descent_price(inst, other, DEFAULT_KAPPA, k, states)
             _assert_bit_equal(got, expected)
             _assert_bit_equal(evaluate(inst, other), expected)
-            assert inst.n_machines > 1 or repr(got.energy) == "0.0"  # nothing is charged
+            assert inst.n_machines > 1 or repr(got[1]) == "0.0"  # nothing is charged
             resumed = _built(inst, other, k, states)
             assert resumed == _built(inst, other)
             assert resumed == reference_states(inst, other)
